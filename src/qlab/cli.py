@@ -24,9 +24,9 @@ Tau functions are given as 'q:2,1', 'qa:2,1@0,1,2', 'qa:2,1@factorial',
 or 'json:FILE'.  Parameter sequences are comma-separated rationals
 starting with 0, or the named families 'zero' and 'factorial'.
 
-Exit status: 0 success, 1 a verification failed, 2 usage error.  The
-environment variable QLAB_MAX_WEIGHT, if set, caps the accepted
---max-weight values.
+Exit status: 0 success, 1 a verification failed, 2 usage error, 3 internal
+error (an unexpected exception, reported on stderr).  The environment
+variable QLAB_MAX_WEIGHT, if set, caps the accepted --max-weight values.
 """
 
 from __future__ import annotations
@@ -306,6 +306,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def run() -> None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ring import Mono, Poly, Tensor, mono_weight, tensor_of
+from .ring import Mono, Poly, Tensor, mono_weight
 from .series import schur_q_row
 
 _PHI_MONO_CACHE: dict[tuple[int, Mono], Poly] = {}
@@ -42,16 +42,11 @@ def exp_derivation_coeffs(f: Poly, sign: int = -1) -> list[Poly]:
         raise ValueError("sign must be +1 or -1")
     if f.family != "p":
         raise ValueError("fermion operators act on power-sum polynomials")
-    w = f.weight()
     out = [f]
-    for k in range(1, w + 1):
-        total = Poly.zero()
-        for n in range(1, k + 1, 2):
-            prev = out[k - n]
-            if not prev:
-                continue
-            total = total + prev.diff(n) * n
-        out.append(total * Fraction(sign, k))
+    for k in range(1, f.weight() + 1):
+        out.append(Poly.lincomb(
+            (out[k - n].diff(n), Fraction(sign * n, k)) for n in range(1, k + 1, 2)
+        ))
     return out
 
 
@@ -59,14 +54,11 @@ def _phi_mono(m: int, mono: Mono) -> Poly:
     key = (m, mono)
     hit = _PHI_MONO_CACHE.get(key)
     if hit is None:
-        f = Poly.from_mono(mono)
-        gs = exp_derivation_coeffs(f, sign=-1)
-        total = Poly.zero()
-        for k, g in enumerate(gs):
-            if m + k < 0 or not g:
-                continue
-            total = total + schur_q_row(m + k) * g
-        _PHI_MONO_CACHE[key] = hit = total
+        gs = exp_derivation_coeffs(Poly.from_mono(mono), sign=-1)
+        hit = Poly.lincomb(
+            (schur_q_row(m + k) * g, 1) for k, g in enumerate(gs) if m + k >= 0 and g
+        )
+        _PHI_MONO_CACHE[key] = hit
     return hit
 
 
@@ -74,10 +66,7 @@ def apply_phi(m: int, f: Poly) -> Poly:
     """The operator phi_m applied to a power-sum polynomial."""
     if f.family != "p":
         raise ValueError("fermion operators act on power-sum polynomials")
-    total = Poly.zero()
-    for mono, c in f.terms.items():
-        total = total + _phi_mono(m, mono) * c
-    return total
+    return Poly.lincomb((_phi_mono(m, mono), c) for mono, c in f.terms.items())
 
 
 def q_lambda(index: tuple[int, ...]) -> Poly:
@@ -109,22 +98,17 @@ def apply_omega(t: Tensor, widen: int = 0) -> Tensor:
     """
     if widen < 0:
         raise ValueError("widen must be nonnegative")
-    out = Tensor.zero()
-    for (ml, mr), c in t.terms.items():
-        wl = mono_weight(ml)
-        wr = mono_weight(mr)
-        fl = Poly.from_mono(ml)
-        fr = Poly.from_mono(mr)
-        for n in range(-wl - widen, wr + widen + 1):
-            left = apply_phi(n, fl)
-            if not left:
-                continue
-            right = apply_phi(-n, fr)
-            if not right:
-                continue
-            sign = c if n % 2 == 0 else -c
-            out = out + tensor_of(left, right) * sign
-    return out
+
+    def triples():
+        for (ml, mr), c in t.terms.items():
+            fl = Poly.from_mono(ml)
+            fr = Poly.from_mono(mr)
+            for n in range(-mono_weight(ml) - widen, mono_weight(mr) + widen + 1):
+                left = apply_phi(n, fl)
+                if left:
+                    yield left, apply_phi(-n, fr), c if n % 2 == 0 else -c
+
+    return Tensor.lincomb(triples())
 
 
 def is_bkp_tau_bilinear(f: Poly) -> tuple[bool, Tensor]:
@@ -136,15 +120,11 @@ def is_bkp_tau_bilinear(f: Poly) -> tuple[bool, Tensor]:
     if f.family != "p":
         raise ValueError("fermion operators act on power-sum polynomials")
     w = f.weight()
-    acc = Tensor.zero()
-    for n in range(-w, w + 1):
-        left = apply_phi(n, f)
-        if not left:
-            continue
-        right = apply_phi(-n, f)
-        if not right:
-            continue
-        pair = tensor_of(left, right)
-        acc = acc + (pair if n % 2 == 0 else pair * Fraction(-1))
-    acc = acc - tensor_of(f, f)
+    triples = [
+        (left, apply_phi(-n, f), 1 if n % 2 == 0 else -1)
+        for n in range(-w, w + 1)
+        if (left := apply_phi(n, f))
+    ]
+    triples.append((f, f, -1))
+    acc = Tensor.lincomb(triples)
     return (acc.is_zero(), acc)

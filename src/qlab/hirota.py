@@ -32,10 +32,10 @@ from .ring import (
     EMPTY_MONO,
     Mono,
     Poly,
+    accumulate,
     graded_monomials,
     mono_degree,
     mono_mul,
-    mono_sort_key,
     mono_text,
     mono_weight,
 )
@@ -50,24 +50,22 @@ def p_to_x(f: Poly) -> Poly:
     substituting p_n = n x_n / 2."""
     if f.family != "p":
         raise ValueError("expected a power-sum polynomial")
-    out = {}
-    for mono, c in f.terms.items():
-        for n, e in mono:
-            c = c * Fraction(n, 2) ** e
-        out[mono] = c
-    return Poly._make(out, "x")
+    return _rescale(f, "x", lambda n: Fraction(n, 2))
 
 
 def x_to_p(f: Poly) -> Poly:
     """Inverse of p_to_x: substitute x_n = 2 p_n / n."""
     if f.family != "x":
         raise ValueError("expected a rescaled-time polynomial")
-    out = {}
-    for mono, c in f.terms.items():
-        for n, e in mono:
-            c = c * Fraction(2, n) ** e
-        out[mono] = c
-    return Poly._make(out, "p")
+    return _rescale(f, "p", lambda n: Fraction(2, n))
+
+
+def _rescale(f: Poly, family: str, factor) -> Poly:
+    """Substitute factor(n) * v_n for every variable v_n of f."""
+    return Poly._make(
+        {m: c * math.prod(factor(n) ** e for n, e in m) for m, c in f.terms.items()},
+        family,
+    )
 
 
 def _derivative(dmono: Mono, cache: dict[Mono, Poly]) -> Poly:
@@ -80,8 +78,9 @@ def _derivative(dmono: Mono, cache: dict[Mono, Poly]) -> Poly:
     return hit
 
 
-def _apply_cached(p: Poly, fcache: dict[Mono, Poly], gcache: dict[Mono, Poly]) -> Poly:
-    total = Poly.zero("x")
+def _binomial_terms(p: Poly, fcache: dict[Mono, Poly], gcache: dict[Mono, Poly]):
+    """The products of the signed binomial sum, each with its coefficient
+    applied to the left factor before multiplying out."""
     for gamma, cg in p.terms.items():
         exps = [e for _, e in gamma]
         idxs = [n for n, _ in gamma]
@@ -101,10 +100,12 @@ def _apply_cached(p: Poly, fcache: dict[Mono, Poly], gcache: dict[Mono, Poly]) -
             if not lf:
                 continue
             rg = _derivative(tuple(right), gcache)
-            if not rg:
-                continue
-            total = total + lf * rg * coef
-    return total
+            if rg:
+                yield lf * coef * rg, 1
+
+
+def _apply_cached(p: Poly, fcache: dict[Mono, Poly], gcache: dict[Mono, Poly]) -> Poly:
+    return Poly.lincomb(_binomial_terms(p, fcache, gcache), "x")
 
 
 def hirota_apply(p: Poly, f: Poly, g: Poly) -> Poly:
@@ -127,24 +128,13 @@ def _doubled(f: Poly, sgn: int) -> dict[tuple[Mono, Mono], Fraction]:
         for n, e in mono:
             unit: Mono = ((n, 1),)
             for _ in range(e):
-                new: dict[tuple[Mono, Mono], Fraction] = {}
-                for (zm, xm), cc in obj.items():
-                    kx = (zm, mono_mul(xm, unit))
-                    new[kx] = new.get(kx, Fraction(0)) + cc
-                    kz = (mono_mul(zm, unit), xm)
-                    cz = cc if sgn > 0 else -cc
-                    v = new.get(kz, Fraction(0)) + cz
-                    if v:
-                        new[kz] = v
-                    elif kz in new:
-                        del new[kz]
-                obj = new
-        for key, cc in obj.items():
-            v = out.get(key, Fraction(0)) + cc
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
+                obj = accumulate({}, (
+                    item
+                    for (zm, xm), cc in obj.items()
+                    for item in (((zm, mono_mul(xm, unit)), cc),
+                                 ((mono_mul(zm, unit), xm), cc if sgn > 0 else -cc))
+                ))
+        accumulate(out, obj.items())
     return out
 
 
@@ -160,35 +150,17 @@ def hirota_apply_taylor(p: Poly, f: Poly, g: Poly) -> Poly:
         raise ValueError("expected a Hirota symbol polynomial")
     if f.family != "x" or g.family != "x":
         raise ValueError("expected rescaled-time polynomials")
-    fp = _doubled(f, 1)
-    gm = _doubled(g, -1)
-    wanted = set(p.terms)
-    prod: dict[tuple[Mono, Mono], Fraction] = {}
-    for (zm1, xm1), c1 in fp.items():
-        for (zm2, xm2), c2 in gm.items():
-            zm = mono_mul(zm1, zm2)
-            if zm not in wanted:
-                continue
-            key = (zm, mono_mul(xm1, xm2))
-            v = prod.get(key, Fraction(0)) + c1 * c2
-            if v:
-                prod[key] = v
-            elif key in prod:
-                del prod[key]
-    out: dict[Mono, Fraction] = {}
-    for gamma, cg in p.terms.items():
-        fact = 1
-        for _, e in gamma:
-            fact *= math.factorial(e)
-        scale = cg * fact
-        for (zm, xm), c in prod.items():
-            if zm != gamma:
-                continue
-            v = out.get(xm, Fraction(0)) + scale * c
-            if v:
-                out[xm] = v
-            elif xm in out:
-                del out[xm]
+    gm = _doubled(g, -1).items()
+    scale = {
+        gamma: cg * math.prod(math.factorial(e) for _, e in gamma)
+        for gamma, cg in p.terms.items()
+    }
+    out = accumulate({}, (
+        (mono_mul(xm1, xm2), scale[zm] * c1 * c2)
+        for (zm1, xm1), c1 in _doubled(f, 1).items()
+        for (zm2, xm2), c2 in gm
+        if (zm := mono_mul(zm1, zm2)) in scale
+    ))
     return Poly._make(out, "x")
 
 
@@ -222,7 +194,7 @@ def _generate_raw(max_weight: int) -> dict[Mono, Poly]:
                 new[mono_mul(mu, ((n, e),))] = power * Fraction(1, fact)
                 e += 1
         efac = new
-    out: dict[Mono, Poly] = {}
+    pairs: dict[Mono, list[tuple[Poly, Fraction]]] = {}
     for m in range(1, max_weight + 1):
         sym = sy[m]
         sdm = sd[m]
@@ -233,14 +205,15 @@ def _generate_raw(max_weight: int) -> dict[Mono, Poly]:
                 continue
             prod = sdm * p
             for ymono, c in sym.terms.items():
-                key = mono_mul(ymono, mu)
-                cur = out.get(key)
-                contrib = prod * c
-                out[key] = contrib if cur is None else cur + contrib
-    out = {k: v for k, v in out.items() if v}
-    for key, val in out.items():
+                pairs.setdefault(mono_mul(ymono, mu), []).append((prod, c))
+    out: dict[Mono, Poly] = {}
+    for key, items in pairs.items():
+        val = Poly.lincomb(items, "D")
         w = mono_weight(key)
-        assert all(mono_weight(m) == w for m in val.terms), "inhomogeneous equation"
+        if any(mono_weight(m) != w for m in val.terms):
+            raise ArithmeticError(f"inhomogeneous equation at {mono_text(key, 'y')}")
+        if val:
+            out[key] = val
     _RAW_CACHE[max_weight] = out
     return out
 

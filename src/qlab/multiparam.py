@@ -20,6 +20,7 @@ those coefficients must reproduce every classical multi-index function.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .fermion import apply_phi, q_lambda
@@ -74,17 +75,13 @@ def multiparam_q(alpha: tuple[int, ...], a: ParamSeq) -> Poly:
     hit = _MQ_CACHE.get(key)
     if hit is not None:
         return hit
-    total = Poly.zero()
     slot_lists = [_slot_coeffs(part, a) for part in vec]
-    for combo in itertools.product(*slot_lists):
-        coef = Fraction(1)
-        lam = []
-        for lam_i, c_i in combo:
-            coef *= c_i
-            lam.append(lam_i)
-        total = total + q_lambda(tuple(lam)) * coef
-    _MQ_CACHE[key] = total
-    return total
+    hit = Poly.lincomb(
+        (q_lambda(tuple(lam for lam, _ in combo)), math.prod(c for _, c in combo))
+        for combo in itertools.product(*slot_lists)
+    )
+    _MQ_CACHE[key] = hit
+    return hit
 
 
 def multiparam_q_via_fermions(alpha: tuple[int, ...], a: ParamSeq) -> Poly:
@@ -96,10 +93,7 @@ def multiparam_q_via_fermions(alpha: tuple[int, ...], a: ParamSeq) -> Poly:
         raise ValueError("entries must be positive integers")
     f = Poly.one()
     for part in reversed(vec):
-        acc = Poly.zero()
-        for s, c in _slot_coeffs(part, a):
-            acc = acc + apply_phi(s, f) * c
-        f = acc
+        f = Poly.lincomb([(apply_phi(s, f), c) for s, c in _slot_coeffs(part, a)])
     return f
 
 
@@ -121,14 +115,11 @@ def check_multiparam_expansion(l: int, a: ParamSeq, order: int) -> bool:
     }
     idx_range = range(1, order + 1)
     for kvec in itertools.product(idx_range, repeat=l):
-        lhs = q_lambda(kvec)
-        rhs = Poly.zero()
-        for lam_vec in itertools.product(*(range(1, k + 1) for k in kvec)):
-            coef = Fraction(1)
-            for lam_i, k_i in zip(lam_vec, kvec):
-                coef *= coeff_rows[lam_i][k_i]
-            if coef:
-                rhs = rhs + multiparam_q(lam_vec, a) * coef
-        if lhs != rhs:
+        rhs = Poly.lincomb(
+            (multiparam_q(lam_vec, a), coef)
+            for lam_vec in itertools.product(*(range(1, k + 1) for k in kvec))
+            if (coef := math.prod(coeff_rows[l_i][k_i] for l_i, k_i in zip(lam_vec, kvec)))
+        )
+        if q_lambda(kvec) != rhs:
             return False
     return True

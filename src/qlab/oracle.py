@@ -16,204 +16,96 @@ nonzero remainder would signal a bug and raises.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
-from .ring import Mono, Poly, Scalar, mono_mul
+from .ring import Poly, Scalar, accumulate, mono_mul
 from .series import ParamSeq, schur_q_row
 
 MAX_VARS = 8
 
-_PAIR_CACHE: dict[tuple[int, tuple[int, ...]], tuple[dict, int]] = {}
+_PAIR_CACHE: dict[tuple[int, tuple[int, ...]], Poly] = {}
 
 _ZERO = Fraction(0)
 
 
-def _mono_times_var(mono: Mono, p: int) -> Mono:
-    out = []
-    placed = False
-    for n, e in mono:
-        if n == p:
-            out.append((n, e + 1))
-            placed = True
-        elif n > p and not placed:
-            out.append((p, 1))
-            out.append((n, e))
-            placed = True
-        else:
-            out.append((n, e))
-    if not placed:
-        out.append((p, 1))
-    return tuple(out)
-
-
 def _mul_var_binomial(terms: dict, p: int, q: int, sgn: int) -> dict:
     """terms * (x_p + sgn * x_q) as sparse dicts."""
-    out: dict = {}
-    for mono, c in terms.items():
-        mp = _mono_times_var(mono, p)
-        out[mp] = out.get(mp, _ZERO) + c
-        mq = _mono_times_var(mono, q)
-        cq = c if sgn > 0 else -c
-        v = out.get(mq, _ZERO) + cq
-        if v:
-            out[mq] = v
-        elif mq in out:
-            del out[mq]
-    return {m: c for m, c in out.items() if c}
+    up, uq = ((p, 1),), ((q, 1),)
+    return accumulate({}, (
+        item
+        for mono, c in terms.items()
+        for item in ((mono_mul(mono, up), c), (mono_mul(mono, uq), c if sgn > 0 else -c))
+    ))
 
 
-def _mul_scalar_binomial(terms: dict, p: int, shift: Fraction) -> dict:
-    """terms * (x_p + shift) as sparse dicts."""
-    out: dict = {}
-    for mono, c in terms.items():
-        mp = _mono_times_var(mono, p)
-        out[mp] = out.get(mp, _ZERO) + c
-        if shift:
-            v = out.get(mono, _ZERO) + c * shift
-            if v:
-                out[mono] = v
-            elif mono in out:
-                del out[mono]
-    return {m: c for m, c in out.items() if c}
-
-
-def _pair_factor(n_vars: int, s: tuple[int, ...]) -> tuple[dict, int]:
+def _pair_factor(n_vars: int, s: tuple[int, ...]) -> Poly:
     """The common-denominator numerator factor for an ordered tuple s.
 
-    Returns (poly, sign) where poly is the product of all sum factors
-    (x_{s_i} + x_j) over slot pairs and slot-complement pairs, times the
-    complement Vandermonde differences, and sign corrects each original
-    difference factor to the index-increasing orientation used by the
-    global Vandermonde product.
+    The product of all sum factors (x_{s_i} + x_j) over slot pairs and
+    slot-complement pairs, times the complement Vandermonde differences,
+    with the sign that corrects each original difference factor to the
+    index-increasing orientation used by the global Vandermonde product.
     """
     key = (n_vars, s)
     hit = _PAIR_CACHE.get(key)
     if hit is not None:
         return hit
-    in_s = set(s)
-    comp = [c for c in range(1, n_vars + 1) if c not in in_s]
-    terms: dict = {(): Fraction(1)}
-    sign = 1
-    l = len(s)
-    for i in range(l):
-        for j in range(i + 1, l):
-            terms = _mul_var_binomial(terms, s[i], s[j], 1)
-            if s[i] > s[j]:
-                sign = -sign
-        for c in comp:
-            terms = _mul_var_binomial(terms, s[i], c, 1)
-            if s[i] > c:
-                sign = -sign
-    for ci in range(len(comp)):
-        for cj in range(ci + 1, len(comp)):
-            terms = _mul_var_binomial(terms, comp[ci], comp[cj], -1)
-    _PAIR_CACHE[key] = (terms, sign)
-    return terms, sign
+    comp = [c for c in range(1, n_vars + 1) if c not in s]
+    sums = [(a, b) for i, a in enumerate(s) for b in s[i + 1:] + tuple(comp)]
+    terms: dict = {(): Fraction((-1) ** sum(a > b for a, b in sums))}
+    for a, b in sums:
+        terms = _mul_var_binomial(terms, a, b, 1)
+    for a, b in itertools.combinations(comp, 2):
+        terms = _mul_var_binomial(terms, a, b, -1)
+    hit = _PAIR_CACHE[key] = Poly._make(terms, "v")
+    return hit
 
 
 def _div_linear(terms: dict, p: int, q: int) -> dict:
-    """Exact division of a sparse polynomial by (x_p - x_q)."""
-    slices: dict[int, dict] = {}
+    """Exact division of a sparse polynomial by (x_p - x_q).
+
+    Writing terms = sum_d F_d x_p^d, the quotient's x_p^(d-1) slice is
+    G_(d-1) = F_d + x_q G_d, taken from the top degree down; the last
+    step F_0 + x_q G_0 is the remainder and must vanish.
+    """
+    slices: dict[int, list] = {}
     for mono, c in terms.items():
-        d = 0
-        rest = []
-        for n, e in mono:
-            if n == p:
-                d = e
-            else:
-                rest.append((n, e))
-        slices.setdefault(d, {})[tuple(rest)] = c
-    if not slices:
-        return {}
-    dmax = max(slices)
-    if dmax == 0:
-        raise ArithmeticError("division by Vandermonde factor left a remainder")
+        d = next((e for n, e in mono if n == p), 0)
+        rest = tuple(t for t in mono if t[0] != p) if d else mono
+        slices.setdefault(d, []).append((rest, c))
+    uq = ((q, 1),)
     out: dict = {}
-    g_cur: dict = {}
-    for d in range(dmax, 0, -1):
-        nxt: dict = {}
-        for rest, c in g_cur.items():
-            mq = _mono_times_var(rest, q)
-            v = nxt.get(mq, _ZERO) + c
-            if v:
-                nxt[mq] = v
-            elif mq in nxt:
-                del nxt[mq]
-        for rest, c in slices.get(d, {}).items():
-            v = nxt.get(rest, _ZERO) + c
-            if v:
-                nxt[rest] = v
-            elif rest in nxt:
-                del nxt[rest]
-        g_cur = nxt
-        if d > 1:
-            for rest, c in g_cur.items():
-                mono = rest
-                for _ in range(d - 1):
-                    mono = _mono_times_var(mono, p)
-                out[mono] = c
-        else:
-            for rest, c in g_cur.items():
-                out[rest] = out.get(rest, _ZERO) + c
-    remainder = dict(slices.get(0, {}))
-    for rest, c in g_cur.items():
-        mq = _mono_times_var(rest, q)
-        v = remainder.get(mq, _ZERO) + c
-        if v:
-            remainder[mq] = v
-        elif mq in remainder:
-            del remainder[mq]
-    if any(remainder.values()):
+    g: dict = {}
+    for d in range(max(slices, default=0), -1, -1):
+        g = accumulate({mono_mul(m, uq): c for m, c in g.items()}, slices.get(d, ()))
+        if d:
+            up = ((p, d - 1),) if d > 1 else ()
+            accumulate(out, ((mono_mul(m, up), c) for m, c in g.items()))
+    if g:
         raise ArithmeticError("division by Vandermonde factor left a remainder")
-    return {m: c for m, c in out.items() if c}
+    return out
 
 
-def _sym_sum(rows: list[list[dict]], n_vars: int) -> Poly:
+def _sym_sum(rows: list[list[Poly]], n_vars: int) -> Poly:
     """2^l times the symmetrized sum over ordered injective tuples.
 
-    rows[i][s-1] is the sparse polynomial placed in slot i when the tuple
+    rows[i][s-1] is the polynomial placed in slot i when the tuple
     assigns variable x_s to that slot.
     """
     l = len(rows)
+    one = Poly.one("v")
     if l == 0:
-        return Poly.one("v")
+        return one
     total: dict = {}
     for s in itertools.permutations(range(1, n_vars + 1), l):
-        factor, sign = _pair_factor(n_vars, s)
-        term: dict = {(): Fraction(sign)}
-        for i in range(l):
-            row = rows[i][s[i] - 1]
-            if not row:
-                term = {}
-                break
-            new: dict = {}
-            for m1, c1 in term.items():
-                for m2, c2 in row.items():
-                    mono = mono_mul(m1, m2)
-                    v = new.get(mono, _ZERO) + c1 * c2
-                    if v:
-                        new[mono] = v
-                    elif mono in new:
-                        del new[mono]
-            term = new
-        if not term:
-            continue
-        for m1, c1 in term.items():
-            for m2, c2 in factor.items():
-                mono = mono_mul(m1, m2)
-                v = total.get(mono, _ZERO) + c1 * c2
-                if v:
-                    total[mono] = v
-                elif mono in total:
-                    del total[mono]
-    total = {m: c for m, c in total.items() if c}
-    if not total:
-        return Poly.zero("v")
+        slots = math.prod((row[v - 1] for row, v in zip(rows, s)), start=one)
+        accumulate(total, (slots * _pair_factor(n_vars, s)).terms.items())
     for p in range(1, n_vars + 1):
         for q in range(p + 1, n_vars + 1):
             total = _div_linear(total, p, q)
-    scale = Fraction(2 ** l)
-    return Poly({m: c * scale for m, c in total.items()}, family="v")
+    scale = 2 ** l
+    return Poly._make({m: c * scale for m, c in total.items()}, "v")
 
 
 def _check_nvars(n_vars: int):
@@ -231,10 +123,7 @@ def q_lambda_sym(lam: tuple[int, ...], n_vars: int) -> Poly:
         raise ValueError("parts must be positive")
     if any(lam[i] <= lam[i + 1] for i in range(len(lam) - 1)):
         raise ValueError("parts must be strictly decreasing")
-    rows = [
-        [{((s, part),): Fraction(1)} for s in range(1, n_vars + 1)]
-        for part in lam
-    ]
+    rows = [[Poly.variable(s, "v", part) for s in range(1, n_vars + 1)] for part in lam]
     return _sym_sum(rows, n_vars)
 
 
@@ -249,16 +138,14 @@ def qa_sym(alpha: tuple[int, ...], a: ParamSeq, n_vars: int) -> Poly:
     alpha = tuple(int(v) for v in alpha)
     if any(v < 0 for v in alpha):
         raise ValueError("entries must be nonnegative")
+    one = Poly.one("v")
     rows = []
     for part in alpha:
         shifts = [a.get(t) for t in range(part)]
-        row = []
-        for s in range(1, n_vars + 1):
-            terms: dict = {(): Fraction(1)}
-            for t in shifts:
-                terms = _mul_scalar_binomial(terms, s, -t)
-            row.append(terms)
-        rows.append(row)
+        rows.append([
+            math.prod((Poly.variable(s, "v") - t for t in shifts), start=one)
+            for s in range(1, n_vars + 1)
+        ])
     return _sym_sum(rows, n_vars)
 
 
@@ -295,38 +182,26 @@ def genq_expand(l: int, cutoff: int) -> dict[tuple[int, ...], Poly]:
             return 1
         return 2 if r % 2 == 0 else -2
 
-    out: dict[tuple[int, ...], Poly] = {}
+    def coefficient(ls: tuple[int, ...]) -> Poly:
+        if l == 1:
+            return q_prod(ls)
+        if l == 2:
+            l1, l2 = ls
+            return Poly.lincomb(
+                (q_prod((l1 + r, l2 - r)), wt(r)) for r in range(max(0, -l1), l2 + 1)
+            )
+        l1, l2, l3 = ls
+        return Poly.lincomb(
+            (q_prod((l1 + r12 + r13, l2 + r23 - r12, l3 - r13 - r23)),
+             wt(r12) * wt(r13) * wt(r23))
+            for r13 in range(max(0, l3) + 1)
+            for r23 in range(l3 - r13 + 1)
+            for r12 in range(max(0, -l1 - r13), l2 + r23 + 1)
+        )
+
     rng = range(-cutoff, cutoff + 1)
-    if l == 1:
-        for k in range(cutoff + 1):
-            out[(k,)] = schur_q_row(k)
-        return out
-    if l == 2:
-        for l1 in rng:
-            for l2 in rng:
-                acc = Poly.zero()
-                for r in range(max(0, -l1), l2 + 1):
-                    acc = acc + q_prod((l1 + r, l2 - r)) * wt(r)
-                if acc:
-                    out[(l1, l2)] = acc
-        return out
-    for l1 in rng:
-        for l2 in rng:
-            for l3 in rng:
-                acc = Poly.zero()
-                for r13 in range(0, max(0, l3) + 1):
-                    for r23 in range(0, l3 - r13 + 1):
-                        k3 = l3 - r13 - r23
-                        for r12 in range(max(0, -l1 - r13), l2 + r23 + 1):
-                            k1 = l1 + r12 + r13
-                            k2 = l2 + r23 - r12
-                            if k1 < 0 or k2 < 0:
-                                continue
-                            w = wt(r12) * wt(r13) * wt(r23)
-                            acc = acc + q_prod((k1, k2, k3)) * w
-                if acc:
-                    out[(l1, l2, l3)] = acc
-    return out
+    out = {ls: coefficient(ls) for ls in itertools.product(rng, repeat=l)}
+    return {ls: c for ls, c in out.items() if c}
 
 
 def eval_powersums(f: Poly, xs: list[Scalar]) -> Fraction:
@@ -370,10 +245,9 @@ def powersum_image(f: Poly, n_vars: int) -> Poly:
             base[n] = hit
         return hit
 
-    total = Poly.zero("v")
-    for mono, c in f.terms.items():
-        term = Poly.const(c, family="v")
-        for n, e in mono:
-            term = term * psum(n) ** e
-        total = total + term
-    return total
+    one = Poly.one("v")
+    return Poly.lincomb(
+        ((math.prod((psum(n) ** e for n, e in mono), start=one), c)
+         for mono, c in f.terms.items()),
+        "v",
+    )

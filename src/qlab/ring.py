@@ -8,15 +8,17 @@ Hirota symbols D_n, plus the finite alphabets used by the brute-force
 oracle.  Coefficients are fractions.Fraction throughout; no floating point
 arithmetic occurs anywhere in this package.
 
-Every value is immutable after construction and every operation is a pure
-function, so values can be shared freely between threads or cached without
-copying.
+Every value is immutable after construction: its term map is a read-only
+view, and every operation is a pure function, so values can be shared
+freely between threads or cached without copying.  Every sum of terms is
+formed by accumulate, the package's one sparse-accumulation kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from types import MappingProxyType
+from typing import Callable, Hashable, Iterable, Mapping
 
 Scalar = int | Fraction
 
@@ -39,6 +41,25 @@ _ONE = Fraction(1)
 
 def _fr(value: Scalar) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def accumulate(out: dict, items: Iterable[tuple[Hashable, Fraction]]) -> dict:
+    """Add every (key, coefficient) pair into out and return out.
+
+    A key whose coefficients sum to zero is dropped, so out never stores a
+    zero.  No other code in the package adds into or deletes from a term
+    map; the rest only filters or rescales an existing one.
+    """
+    get = out.get
+    for key, c in items:
+        s = get(key)
+        if s is not None:
+            c += s
+        if c:
+            out[key] = c
+        elif s is not None:
+            del out[key]
+    return out
 
 
 def mono_weight(mono: Mono) -> int:
@@ -97,28 +118,38 @@ class Poly:
     '2*p1 + 1/3*p3'
 
     The zero polynomial is the empty map; zero coefficients are never
-    stored.  Instances are immutable by convention: no method mutates
-    self, arithmetic always builds a new value.
+    stored.  The term map is a read-only view: no method mutates self,
+    arithmetic always builds a new value.
     """
 
     __slots__ = ("terms", "family")
 
     def __init__(self, terms: Mapping[Mono, Scalar] | None = None, family: str = "p"):
-        clean: dict[Mono, Fraction] = {}
-        if terms:
-            for mono, c in terms.items():
-                c = _fr(c)
-                if c:
-                    clean[mono] = c
-        self.terms = clean
+        items = ((m, _fr(c)) for m, c in terms.items()) if terms else ()
+        self.terms = MappingProxyType(accumulate({}, items))
         self.family = family
 
     @classmethod
     def _make(cls, terms: dict[Mono, Fraction], family: str) -> "Poly":
+        """Wrap a dict of nonzero coefficients that nothing else holds."""
         obj = cls.__new__(cls)
-        obj.terms = terms
+        obj.terms = MappingProxyType(terms)
         obj.family = family
         return obj
+
+    @classmethod
+    def lincomb(cls, pairs: Iterable[tuple["Poly", Scalar]], family: str = "p") -> "Poly":
+        """The sum of f * c over (f, c) pairs, built in one term map."""
+        out: dict[Mono, Fraction] = {}
+        for f, c in pairs:
+            if f.family != family:
+                raise ValueError(f"mixed variable families {family!r} and {f.family!r}")
+            c = _fr(c)
+            if c == 1:
+                accumulate(out, f.terms.items())
+            elif c:
+                accumulate(out, ((m, v * c) for m, v in f.terms.items()))
+        return cls._make(out, family)
 
     @classmethod
     def zero(cls, family: str = "p") -> "Poly":
@@ -182,14 +213,7 @@ class Poly:
         elif not isinstance(other, Poly):
             return NotImplemented
         self._check_family(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, _ZERO) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return Poly._make(out, self.family)
+        return Poly._make(accumulate(self.terms.copy(), other.terms.items()), self.family)
 
     __radd__ = __add__
 
@@ -215,16 +239,10 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_family(other)
-        out: dict[Mono, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = out.get(m)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
+        right = other.terms.items()
+        out = accumulate({}, (
+            (mono_mul(m1, m2), c1 * c2) for m1, c1 in self.terms.items() for m2, c2 in right
+        ))
         return Poly._make(out, self.family)
 
     __rmul__ = __mul__
@@ -253,21 +271,14 @@ class Poly:
         """Partial derivative with respect to the variable of index n."""
         if n < 1 or (self.family in ODD_FAMILIES and n % 2 == 0):
             raise ValueError(f"cannot differentiate family {self.family!r} by index {n}")
-        out: dict[Mono, Fraction] = {}
+        items = []
         for mono, c in self.terms.items():
             for i, (idx, e) in enumerate(mono):
                 if idx == n:
-                    if e == 1:
-                        m2 = mono[:i] + mono[i + 1:]
-                    else:
-                        m2 = mono[:i] + ((idx, e - 1),) + mono[i + 1:]
-                    s = out.get(m2, _ZERO) + c * e
-                    if s:
-                        out[m2] = s
-                    else:
-                        out.pop(m2, None)
+                    lowered = ((idx, e - 1),) if e > 1 else ()
+                    items.append((mono[:i] + lowered + mono[i + 1:], c * e))
                     break
-        return Poly._make(out, self.family)
+        return Poly._make(accumulate({}, items), self.family)
 
     def weight(self) -> int:
         """Largest monomial weight present (0 for the zero polynomial)."""
@@ -340,26 +351,41 @@ class Poly:
 class Tensor:
     """An element of the tensor square of the p-ring.
 
-    Terms map pairs (left monomial, right monomial) to Fractions.  Used by
-    the neutral-fermion module for two-sided operators.
+    Terms map pairs (left monomial, right monomial) to Fractions, through
+    a read-only view.  Used by the neutral-fermion module for two-sided
+    operators.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple[Mono, Mono], Scalar] | None = None):
-        clean: dict[tuple[Mono, Mono], Fraction] = {}
-        if terms:
-            for key, c in terms.items():
-                c = _fr(c)
-                if c:
-                    clean[key] = c
-        self.terms = clean
+        items = ((k, _fr(c)) for k, c in terms.items()) if terms else ()
+        self.terms = MappingProxyType(accumulate({}, items))
 
     @classmethod
     def _make(cls, terms: dict[tuple[Mono, Mono], Fraction]) -> "Tensor":
+        """Wrap a dict of nonzero coefficients that nothing else holds."""
         obj = cls.__new__(cls)
-        obj.terms = terms
+        obj.terms = MappingProxyType(terms)
         return obj
+
+    @classmethod
+    def lincomb(cls, triples: Iterable[tuple[Poly, Poly, Scalar]]) -> "Tensor":
+        """The sum of (f (x) g) * c over (f, g, c) triples, built in one
+        term map.  The scalar is folded into each left coefficient once."""
+
+        def items():
+            for f, g, c in triples:
+                c = _fr(c)
+                if not c:
+                    continue
+                right = g.terms.items()
+                for m1, c1 in f.terms.items():
+                    c1 *= c
+                    for m2, c2 in right:
+                        yield (m1, m2), c1 * c2
+
+        return cls._make(accumulate({}, items()))
 
     @classmethod
     def zero(cls) -> "Tensor":
@@ -379,14 +405,7 @@ class Tensor:
     def __add__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, _ZERO) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return Tensor._make(out)
+        return Tensor._make(accumulate(self.terms.copy(), other.terms.items()))
 
     def __neg__(self):
         return Tensor._make({k: -c for k, c in self.terms.items()})
@@ -427,11 +446,7 @@ class Tensor:
 
 def tensor_of(f: Poly, g: Poly) -> Tensor:
     """The decomposable tensor f (x) g."""
-    out: dict[tuple[Mono, Mono], Fraction] = {}
-    for m1, c1 in f.terms.items():
-        for m2, c2 in g.terms.items():
-            out[(m1, m2)] = c1 * c2
-    return Tensor._make(out)
+    return Tensor.lincomb(((f, g, 1),))
 
 
 def tensor_map(t: Tensor, side: str, fn: Callable[[Poly], Poly]) -> Tensor:
@@ -442,18 +457,12 @@ def tensor_map(t: Tensor, side: str, fn: Callable[[Poly], Poly]) -> Tensor:
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    out: dict[tuple[Mono, Mono], Fraction] = {}
-    for (ml, mr), c in t.terms.items():
-        target = ml if side == "left" else mr
-        image = fn(Poly.from_mono(target))
-        for m2, c2 in image.terms.items():
-            key = (m2, mr) if side == "left" else (ml, m2)
-            s = out.get(key, _ZERO) + c * c2
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return Tensor._make(out)
+    left = side == "left"
+    return Tensor._make(accumulate({}, (
+        ((m2, mr) if left else (ml, m2), c * c2)
+        for (ml, mr), c in t.terms.items()
+        for m2, c2 in fn(Poly.from_mono(ml if left else mr)).terms.items()
+    )))
 
 
 def graded_monomials(max_weight: int) -> list[Mono]:

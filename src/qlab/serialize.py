@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ring import Mono, Poly
+from .ring import Mono, Poly, accumulate
 
 ALLOWED_FAMILIES = ("p", "x", "y", "D")
 
@@ -58,7 +58,7 @@ def poly_from_json_dict(data: dict) -> Poly:
     terms = data.get("terms")
     if not isinstance(terms, list):
         raise ValueError("terms must be a list")
-    out: dict[Mono, Fraction] = {}
+    pairs: list[tuple[Mono, Fraction]] = []
     for item in terms:
         if not isinstance(item, dict) or set(item) - {"mono", "coef"}:
             raise ValueError(f"malformed term {item!r}")
@@ -75,5 +75,5 @@ def poly_from_json_dict(data: dict) -> Poly:
             coef = Fraction(coef_text)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad rational {coef_text!r}") from None
-        out[mono] = out.get(mono, Fraction(0)) + coef
-    return Poly(out, family=family)
+        pairs.append((mono, coef))
+    return Poly._make(accumulate({}, pairs), family)

@@ -234,10 +234,9 @@ def schur_q_row(k: int) -> Poly:
         return Poly.zero()
     if k == 0:
         return Poly.one()
-    total = Poly.zero()
-    for j in range(1, k + 1, 2):
-        total = total + Poly.variable(j) * 2 * schur_q_row(k - j)
-    return total / k
+    return Poly.lincomb(
+        [(Poly.variable(j) * schur_q_row(k - j), Fraction(2, k)) for j in range(1, k + 1, 2)]
+    )
 
 
 def schur_q_x_list(k: int) -> list:

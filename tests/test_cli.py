@@ -163,3 +163,10 @@ def test_serialize_rejections():
         poly_from_json_dict({"vars": "p", "terms": [{"mono": {"1": 1}, "coef": "x"}]})
     with pytest.raises(ValueError):
         poly_to_json_dict(Poly.one("v"))
+
+
+def test_internal_error_exit_3(capsys):
+    code, out, err = run_cli(capsys, "q", "1200")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: RecursionError: ")

@@ -6,13 +6,17 @@ from fractions import Fraction
 import pytest
 
 from qlab import (
+    ParamSeq,
     Poly,
     Tensor,
+    bkp_generate,
     graded_monomials,
     mono_degree,
     mono_mul,
     mono_text,
     mono_weight,
+    multiparam_q,
+    q_lambda,
     strict_partitions,
     tensor_map,
     tensor_of,
@@ -273,3 +277,24 @@ def test_strict_partitions():
         assert sum(lam) <= 8
     assert (3, 2, 1) in parts
     assert (2, 1) in parts
+
+
+def test_cached_values_reject_mutation():
+    y1 = ((1, 1),)
+    cached = [
+        lambda: q_lambda((2, 1)),
+        lambda: multiparam_q((2, 1), ParamSeq.factorial(1)),
+        lambda: bkp_generate(6, canonical=False)[y1],
+        lambda: tensor_of(q_lambda((1,)), q_lambda((1,))),
+    ]
+    for get in cached:
+        value = get()
+        before = dict(value.terms)
+        key = next(iter(before))
+        with pytest.raises(AttributeError):
+            value.terms.clear()
+        with pytest.raises(TypeError):
+            value.terms[key] = Fraction(0)
+        with pytest.raises(TypeError):
+            del value.terms[key]
+        assert get().terms == before
