@@ -36,7 +36,9 @@ from .oracle import (
     genq_expand,
     powersum_image,
     q_lambda_sym,
+    q_sym_at,
     qa_sym,
+    qa_sym_at,
 )
 from .ring import (
     EMPTY_MONO,
@@ -112,7 +114,9 @@ __all__ = [
     "powersum_image",
     "q_lambda",
     "q_lambda_sym",
+    "q_sym_at",
     "qa_sym",
+    "qa_sym_at",
     "schur_q_row",
     "schur_q_x_list",
     "shifted_transition",

@@ -26,7 +26,8 @@ starting with 0, or the named families 'zero' and 'factorial'.
 
 Exit status: 0 success, 1 a verification failed, 2 usage error, 3 internal
 error (an unexpected exception, reported on stderr).  The environment
-variable QLAB_MAX_WEIGHT, if set, caps the accepted --max-weight values.
+variable QLAB_MAX_WEIGHT, if set, caps the accepted --max-weight and
+--max-sum values.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from fractions import Fraction
 from .fermion import is_bkp_tau_bilinear, q_lambda
 from .hirota import bkp_check, bkp_generate, equation_listing, p_to_x, x_to_p
 from .multiparam import multiparam_q
-from .oracle import MAX_VARS, eval_powersums, q_lambda_sym, qa_sym
+from .oracle import MAX_VARS, eval_powersums, q_sym_at, qa_sym_at
 from .ring import Poly, graded_monomials, strict_partitions
 from .serialize import poly_from_json_dict, poly_to_json_dict
 from .series import ParamSeq
@@ -195,6 +196,9 @@ def _cmd_oracle_compare(args) -> int:
         raise ValueError("--nvars must be positive")
     if args.max_sum < 1:
         raise ValueError("--max-sum must be positive")
+    if args.points < 1:
+        raise ValueError("--points must be positive")
+    _weight_cap(args.max_sum)
     rng = random.Random(args.seed)
     points = [_random_point(rng, args.nvars) for _ in range(args.points)]
     a = _parse_params(args.params, args.max_sum - 1) if args.params else None
@@ -203,11 +207,10 @@ def _cmd_oracle_compare(args) -> int:
         if not lam:
             continue
         name = ",".join(map(str, lam))
-        sym = q_lambda_sym(lam, args.nvars)
         ferm = q_lambda(lam)
         bad = 0
         for xs in points:
-            lhs = sym.evaluate({i + 1: x for i, x in enumerate(xs)})
+            lhs = q_sym_at(lam, xs)
             rhs = eval_powersums(ferm, xs)
             if lhs != rhs:
                 bad += 1
@@ -217,11 +220,10 @@ def _cmd_oracle_compare(args) -> int:
             print(f"ok q {name}")
         if a is None:
             continue
-        asym = qa_sym(lam, a, args.nvars)
         mq = multiparam_q(lam, a)
         bad = 0
         for xs in points:
-            lhs = asym.evaluate({i + 1: x for i, x in enumerate(xs)})
+            lhs = qa_sym_at(lam, a, xs)
             rhs = eval_powersums(mq, xs)
             if lhs != rhs:
                 bad += 1

@@ -1,16 +1,35 @@
 """Brute-force reference constructions in a finite variable alphabet.
 
 Everything here is deliberately independent of the operator machinery:
-Schur Q-functions are built directly from their symmetrized rational
-expressions in x_1..x_N, and generating-function coefficients are
-extracted by explicit series multiplication.  These serve as oracles for
-the fermionic and multiparameter constructions.
+Schur Q-functions are built directly from their symmetrization formula in
+x_1..x_N, and generating-function coefficients are extracted by explicit
+series multiplication.  These serve as oracles for the fermionic and
+multiparameter constructions.
 
-The symmetrized sums run over ordered injective index tuples.  Each term
-is a rational function whose denominator divides the full Vandermonde
-product, so the sum is accumulated over a common denominator and the
-final division is performed exactly, one linear factor at a time; a
-nonzero remainder would signal a bug and raises.
+The symmetrization formula is
+
+    Q(x) = 2^l * sum over injective l-tuples t of
+           prod_k row_k(x_{t_k}) * prod_{j not in t_0..t_k}
+           (x_{t_k} + x_j) / (x_{t_k} - x_j),
+
+with row_k(x) = x^lambda_k for the classical function and the falling
+product (x - a_0)...(x - a_{alpha_k - 1}) for the multiparameter one.  It
+is evaluated by two routes, each a cross-check of the other:
+
+- Symbolic (q_lambda_sym, qa_sym): every term is a rational function
+  whose denominator divides the full Vandermonde product, so the sum is
+  accumulated over that common denominator and divided exactly, one
+  linear factor at a time; a nonzero remainder would signal a bug and
+  raises.  The result is a polynomial in x_1..x_N.  The test suite
+  compares it with the power-sum image of the fermionic construction and
+  uses it for identities between polynomials (antisymmetry, vanishing).
+- Pointwise (q_sym_at, qa_sym_at): the sum is evaluated directly at a
+  rational point.  Where two coordinates coincide the formula divides by
+  zero, so the value F(x) is read off g(e) = F(x + e*v), v = (1, ..., N):
+  g is a polynomial in e of degree at most deg F, evaluated at deg F + 1
+  positive integers e at which all coordinates are distinct and
+  interpolated at e = 0.  `qlab oracle-compare` and acceptance criteria 2
+  and 7 compare fermionic constructions with this route.
 """
 
 from __future__ import annotations
@@ -27,6 +46,7 @@ MAX_VARS = 8
 _PAIR_CACHE: dict[tuple[int, tuple[int, ...]], Poly] = {}
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _mul_var_binomial(terms: dict, p: int, q: int, sgn: int) -> dict:
@@ -108,9 +128,74 @@ def _sym_sum(rows: list[list[Poly]], n_vars: int) -> Poly:
     return Poly._make({m: c * scale for m, c in total.items()}, "v")
 
 
+def _sym_at(shifts: list[tuple[Fraction, ...]], xs: list[Fraction]) -> Fraction:
+    """The symmetrization formula at a point with distinct coordinates.
+
+    Slot k's row is the product of (x - s) over s in shifts[k].  Tuples are
+    walked slot by slot, so a prefix's product is shared by its
+    extensions, and a prefix whose product vanishes is dropped.
+    """
+    ratio = [[(xi + xj) / (xi - xj) if i != j else None for j, xj in enumerate(xs)]
+             for i, xi in enumerate(xs)]
+    vals = [[math.prod((x - s for s in slot), start=_ONE) for x in xs] for slot in shifts]
+
+    def walk(k: int, free: list[int], acc: Fraction) -> Fraction:
+        if k == len(shifts):
+            return acc
+        total = _ZERO
+        for i in free:
+            term = acc * vals[k][i]
+            if not term:
+                continue
+            rest = [j for j in free if j != i]
+            for j in rest:
+                term *= ratio[i][j]
+            total += walk(k + 1, rest, term)
+        return total
+
+    return 2 ** len(shifts) * walk(0, list(range(len(xs))), _ONE)
+
+
+def _evaluate(shifts: list[tuple[Fraction, ...]], xs: list[Scalar]) -> Fraction:
+    """_sym_at at any point, interpolating along x + e*(1, ..., N) where
+    coordinates coincide (see the module docstring)."""
+    xs = [Fraction(x) for x in xs]
+    if len(set(xs)) == len(xs):
+        return _sym_at(shifts, xs)
+    degree = sum(len(slot) for slot in shifts)
+    nodes: list[int] = []
+    e = 0
+    while len(nodes) <= degree:
+        e += 1
+        if len({x + e * v for v, x in enumerate(xs, 1)}) == len(xs):
+            nodes.append(e)
+    total = _ZERO
+    for e in nodes:
+        weight = math.prod((Fraction(f, f - e) for f in nodes if f != e), start=_ONE)
+        total += weight * _sym_at(shifts, [x + e * v for v, x in enumerate(xs, 1)])
+    return total
+
+
 def _check_nvars(n_vars: int):
     if not 1 <= n_vars <= MAX_VARS:
         raise ValueError(f"number of variables must be between 1 and {MAX_VARS}")
+
+
+def _strict_parts(lam: tuple[int, ...]) -> tuple[int, ...]:
+    lam = tuple(int(v) for v in lam)
+    if any(v <= 0 for v in lam):
+        raise ValueError("parts must be positive")
+    if any(lam[i] <= lam[i + 1] for i in range(len(lam) - 1)):
+        raise ValueError("parts must be strictly decreasing")
+    return lam
+
+
+def _falling_shifts(alpha: tuple[int, ...], a: ParamSeq) -> list[tuple[Fraction, ...]]:
+    """(a_0, ..., a_{alpha_k - 1}) for each entry alpha_k."""
+    alpha = tuple(int(v) for v in alpha)
+    if any(v < 0 for v in alpha):
+        raise ValueError("entries must be nonnegative")
+    return [tuple(a.get(t) for t in range(part)) for part in alpha]
 
 
 def q_lambda_sym(lam: tuple[int, ...], n_vars: int) -> Poly:
@@ -118,11 +203,7 @@ def q_lambda_sym(lam: tuple[int, ...], n_vars: int) -> Poly:
     in x_1..x_N, built by symmetrizing x^lambda against the product of
     (x_i + x_j)/(x_i - x_j) factors."""
     _check_nvars(n_vars)
-    lam = tuple(int(v) for v in lam)
-    if any(v <= 0 for v in lam):
-        raise ValueError("parts must be positive")
-    if any(lam[i] <= lam[i + 1] for i in range(len(lam) - 1)):
-        raise ValueError("parts must be strictly decreasing")
+    lam = _strict_parts(lam)
     rows = [[Poly.variable(s, "v", part) for s in range(1, n_vars + 1)] for part in lam]
     return _sym_sum(rows, n_vars)
 
@@ -135,18 +216,28 @@ def qa_sym(alpha: tuple[int, ...], a: ParamSeq, n_vars: int) -> Poly:
     in them) and must be nonnegative.
     """
     _check_nvars(n_vars)
-    alpha = tuple(int(v) for v in alpha)
-    if any(v < 0 for v in alpha):
-        raise ValueError("entries must be nonnegative")
     one = Poly.one("v")
-    rows = []
-    for part in alpha:
-        shifts = [a.get(t) for t in range(part)]
-        rows.append([
-            math.prod((Poly.variable(s, "v") - t for t in shifts), start=one)
-            for s in range(1, n_vars + 1)
-        ])
+    rows = [
+        [math.prod((Poly.variable(s, "v") - t for t in shifts), start=one)
+         for s in range(1, n_vars + 1)]
+        for shifts in _falling_shifts(alpha, a)
+    ]
     return _sym_sum(rows, n_vars)
+
+
+def q_sym_at(lam: tuple[int, ...], xs: list[Scalar]) -> Fraction:
+    """The value of q_lambda_sym(lam, len(xs)) at the point xs, computed
+    from the symmetrization formula without building the polynomial."""
+    _check_nvars(len(xs))
+    # x^m is the falling product with m zero shifts.
+    return _evaluate([(_ZERO,) * part for part in _strict_parts(lam)], xs)
+
+
+def qa_sym_at(alpha: tuple[int, ...], a: ParamSeq, xs: list[Scalar]) -> Fraction:
+    """The value of qa_sym(alpha, a, len(xs)) at the point xs, computed
+    from the symmetrization formula without building the polynomial."""
+    _check_nvars(len(xs))
+    return _evaluate(_falling_shifts(alpha, a), xs)
 
 
 def genq_expand(l: int, cutoff: int) -> dict[tuple[int, ...], Poly]:

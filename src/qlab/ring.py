@@ -43,6 +43,12 @@ def _fr(value: Scalar) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
+def _frozen(self, name, *value):
+    """__setattr__ and __delattr__ of the value classes: their slots are
+    written once, by object.__setattr__ during construction."""
+    raise AttributeError(f"{type(self).__name__} values are immutable")
+
+
 def accumulate(out: dict, items: Iterable[tuple[Hashable, Fraction]]) -> dict:
     """Add every (key, coefficient) pair into out and return out.
 
@@ -126,16 +132,21 @@ class Poly:
 
     def __init__(self, terms: Mapping[Mono, Scalar] | None = None, family: str = "p"):
         items = ((m, _fr(c)) for m, c in terms.items()) if terms else ()
-        self.terms = MappingProxyType(accumulate({}, items))
-        self.family = family
+        object.__setattr__(self, "terms", MappingProxyType(accumulate({}, items)))
+        object.__setattr__(self, "family", family)
 
     @classmethod
     def _make(cls, terms: dict[Mono, Fraction], family: str) -> "Poly":
         """Wrap a dict of nonzero coefficients that nothing else holds."""
         obj = cls.__new__(cls)
-        obj.terms = MappingProxyType(terms)
-        obj.family = family
+        object.__setattr__(obj, "terms", MappingProxyType(terms))
+        object.__setattr__(obj, "family", family)
         return obj
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __reduce__(self):
+        return Poly, (dict(self.terms), self.family)
 
     @classmethod
     def lincomb(cls, pairs: Iterable[tuple["Poly", Scalar]], family: str = "p") -> "Poly":
@@ -360,14 +371,19 @@ class Tensor:
 
     def __init__(self, terms: Mapping[tuple[Mono, Mono], Scalar] | None = None):
         items = ((k, _fr(c)) for k, c in terms.items()) if terms else ()
-        self.terms = MappingProxyType(accumulate({}, items))
+        object.__setattr__(self, "terms", MappingProxyType(accumulate({}, items)))
 
     @classmethod
     def _make(cls, terms: dict[tuple[Mono, Mono], Fraction]) -> "Tensor":
         """Wrap a dict of nonzero coefficients that nothing else holds."""
         obj = cls.__new__(cls)
-        obj.terms = MappingProxyType(terms)
+        object.__setattr__(obj, "terms", MappingProxyType(terms))
         return obj
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __reduce__(self):
+        return Tensor, (dict(self.terms),)
 
     @classmethod
     def lincomb(cls, triples: Iterable[tuple[Poly, Poly, Scalar]]) -> "Tensor":

@@ -123,6 +123,44 @@ def test_oracle_compare_small(capsys):
     assert "PASS: oracle agrees" in out
 
 
+def test_oracle_compare_repeated_coordinate(capsys):
+    # Seed 9 draws the point (1/9, 5/2, 1/9), where the symmetrization
+    # formula divides by zero; the oracle interpolates through it.
+    code, out, _ = run_cli(
+        capsys,
+        "oracle-compare",
+        "--nvars", "3",
+        "--seed", "9",
+        "--params", "factorial",
+    )
+    assert code == 0
+    names = ["1", "2", "2,1", "3", "3,1", "4", "3,2", "4,1", "5"]
+    expect = [f"ok {kind} {name}" for name in names for kind in ("q", "qa")]
+    assert out.splitlines() == expect + ["PASS: oracle agrees"]
+
+
+def test_oracle_compare_rejects_no_points(capsys):
+    for points in ("0", "-1"):
+        code, out, err = run_cli(
+            capsys, "oracle-compare", "--max-sum", "3", "--nvars", "3",
+            "--points", points,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--points" in err
+
+
+def test_oracle_compare_weight_cap(monkeypatch, capsys):
+    monkeypatch.setenv("QLAB_MAX_WEIGHT", "3")
+    code, out, err = run_cli(capsys, "oracle-compare", "--max-sum", "4", "--nvars", "3")
+    assert code == 2
+    assert out == ""
+    assert "cap" in err
+    code, out, _ = run_cli(capsys, "oracle-compare", "--max-sum", "3", "--nvars", "3")
+    assert code == 0
+    assert out.splitlines()[-1] == "PASS: oracle agrees"
+
+
 def test_malformed_inputs_exit_2(capsys):
     assert run_cli(capsys, "q", "2,,1")[0] == 2
     assert run_cli(capsys, "qa", "4", "--params", "0,1/2")[0] == 2

@@ -14,8 +14,11 @@ from qlab import (
     powersum_image,
     q_lambda,
     q_lambda_sym,
+    q_sym_at,
     qa_sym,
+    qa_sym_at,
     schur_q_row,
+    strict_partitions,
 )
 
 from conftest import RANDOM_A, rand_points
@@ -87,6 +90,74 @@ def test_qa_sym_matches_multiparam_eval():
             xs = rand_points(rng, 4)
             vals = {i + 1: x for i, x in enumerate(xs)}
             assert sym.evaluate(vals) == eval_powersums(fast, xs)
+
+
+def special_points(rng, n_vars):
+    """Points where the symmetrization formula divides by zero (a repeated
+    pair, all coordinates equal, a repeated zero) or has vanishing factors
+    (a zero, an x/-x pair), plus one with distinct coordinates."""
+    u, v, *rest = rand_points(rng, n_vars + 2)
+    return [
+        rand_points(rng, n_vars),
+        (u, u, v, *rest)[:n_vars],
+        (u,) * n_vars,
+        (F(0), u, v, *rest)[:n_vars],
+        (F(0), F(0), u, *rest)[:n_vars],
+        (u, -u, v, *rest)[:n_vars],
+    ]
+
+
+def test_pointwise_matches_symbolic():
+    rng = random.Random(89)
+    families = [ParamSeq.zeros(6), ParamSeq.factorial(6), RANDOM_A]
+    for n_vars in (3, 4):
+        points = special_points(rng, n_vars)
+        for lam in strict_partitions(6):
+            sym = q_lambda_sym(lam, n_vars)
+            asyms = [qa_sym(lam, a, n_vars) for a in families]
+            for xs in points:
+                vals = {i + 1: x for i, x in enumerate(xs)}
+                assert q_sym_at(lam, xs) == sym.evaluate(vals), (lam, xs)
+                for a, asym in zip(families, asyms):
+                    assert qa_sym_at(lam, a, xs) == asym.evaluate(vals), (lam, a, xs)
+
+
+def test_pointwise_unordered_index():
+    rng = random.Random(97)
+    a = RANDOM_A
+    for alpha in [(1, 2), (2, 2), (2, 0, 3), (0,)]:
+        sym = qa_sym(alpha, a, 3)
+        for xs in special_points(rng, 3):
+            vals = {i + 1: x for i, x in enumerate(xs)}
+            assert qa_sym_at(alpha, a, xs) == sym.evaluate(vals), (alpha, xs)
+
+
+def test_pointwise_edge_cases():
+    a = RANDOM_A
+    for xs in [(F(1, 2), F(3)), (F(2), F(2))]:
+        assert q_sym_at((3, 2, 1), xs) == 0
+        assert qa_sym_at((3, 2, 1), a, xs) == 0
+        assert q_sym_at((), xs) == 1
+        assert qa_sym_at((), a, xs) == 1
+    assert q_sym_at((1,), (1, 2)) == 6
+    # Q_(2,1) is homogeneous of degree 3.
+    assert q_sym_at((2, 1), [2, 2, 3]) == 8 * q_sym_at((2, 1), [1, 1, F(3, 2)])
+
+
+def test_pointwise_validation():
+    a = RANDOM_A
+    for bad in [(), (1,) * 9]:
+        with pytest.raises(ValueError):
+            q_sym_at((1,), bad)
+        with pytest.raises(ValueError):
+            qa_sym_at((1,), a, bad)
+    for lam in [(2, 2), (1, 2), (2, 0)]:
+        with pytest.raises(ValueError):
+            q_sym_at(lam, (1, 2, 3))
+    with pytest.raises(ValueError):
+        qa_sym_at((2, -1), a, (1, 2, 3))
+    with pytest.raises(ValueError):
+        qa_sym_at((4,), ParamSeq.parse("0,1"), (1, 2, 3))
 
 
 def test_genq_l1():

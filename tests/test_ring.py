@@ -1,5 +1,7 @@
 """Tests for the exact polynomial ring layer."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -290,6 +292,7 @@ def test_cached_values_reject_mutation():
     for get in cached:
         value = get()
         before = dict(value.terms)
+        family = getattr(value, "family", None)
         key = next(iter(before))
         with pytest.raises(AttributeError):
             value.terms.clear()
@@ -297,4 +300,21 @@ def test_cached_values_reject_mutation():
             value.terms[key] = Fraction(0)
         with pytest.raises(TypeError):
             del value.terms[key]
+        for name in ("terms", "family"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, {})
+            with pytest.raises(AttributeError):
+                delattr(value, name)
         assert get().terms == before
+        assert getattr(get(), "family", None) == family
+
+
+def test_values_copy_and_pickle():
+    f = q_lambda((3, 1)) * Fraction(2, 3)
+    t = tensor_of(f, q_lambda((1,)))
+    for value in (f, Poly.zero("D"), t):
+        for twin in (copy.copy(value), copy.deepcopy(value),
+                     pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value)
+            assert twin == value
+            assert getattr(twin, "family", None) == getattr(value, "family", None)
