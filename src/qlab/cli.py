@@ -66,7 +66,14 @@ def _parse_params(text: str, needed_max_index: int) -> ParamSeq:
         return ParamSeq.zeros(max(needed_max_index, 0))
     if text == "factorial":
         return ParamSeq.factorial(max(needed_max_index, 0))
-    return ParamSeq.parse(text)
+    a = ParamSeq.parse(text)
+    a.prefix(needed_max_index)  # rejects a sequence too short for the request
+    return a
+
+
+def _multiparam(index: str, params: str) -> Poly:
+    alpha = _parse_vector(index, positive=True)
+    return multiparam_q(alpha, _parse_params(params, max(alpha) - 1))
 
 
 def _load_tau(spec: str) -> Poly:
@@ -79,9 +86,7 @@ def _load_tau(spec: str) -> Poly:
         body, sep2, params = rest.partition("@")
         if not sep2:
             raise ValueError(f"tau spec {spec!r} is missing '@params'")
-        alpha = _parse_vector(body, positive=True)
-        a = _parse_params(params, max(alpha) - 1)
-        return multiparam_q(alpha, a)
+        return _multiparam(body, params)
     if kind == "json":
         with open(rest, encoding="utf-8") as fh:
             poly = poly_from_json_dict(json.load(fh))
@@ -91,6 +96,13 @@ def _load_tau(spec: str) -> Poly:
             return poly
         raise ValueError("tau polynomial must use vars 'p' or 'x'")
     raise ValueError(f"unknown tau spec kind {kind!r}")
+
+
+def _max_weight(w: int) -> int:
+    if w < 2:
+        raise ValueError("--max-weight must be at least 2")
+    _weight_cap(w)
+    return w
 
 
 def _weight_cap(requested: int) -> None:
@@ -122,16 +134,11 @@ def _cmd_q(args) -> int:
 
 
 def _cmd_qa(args) -> int:
-    alpha = _parse_vector(args.index, positive=True)
-    a = _parse_params(args.params, max(alpha) - 1)
-    return _emit_poly(multiparam_q(alpha, a), args)
+    return _emit_poly(_multiparam(args.index, args.params), args)
 
 
 def _cmd_hierarchy(args) -> int:
-    w = args.max_weight
-    if w < 2:
-        raise ValueError("--max-weight must be at least 2")
-    _weight_cap(w)
+    w = _max_weight(args.max_weight)
     if args.format == "json":
         eqs = bkp_generate(w, canonical=True)
         zero = Poly.zero("D")
@@ -165,12 +172,8 @@ def _cmd_check_bilinear(args) -> int:
 
 
 def _cmd_check_bkp(args) -> int:
-    w = args.max_weight
-    if w < 2:
-        raise ValueError("--max-weight must be at least 2")
-    _weight_cap(w)
-    tau = _load_tau(args.tau)
-    report = bkp_check(tau, w)
+    w = _max_weight(args.max_weight)
+    report = bkp_check(_load_tau(args.tau), w)
     for name in report.trivial:
         print(f"{name} : trivial")
     for name, residual in report.failures.items():
@@ -201,36 +204,26 @@ def _cmd_oracle_compare(args) -> int:
     _weight_cap(args.max_sum)
     rng = random.Random(args.seed)
     points = [_random_point(rng, args.nvars) for _ in range(args.points)]
-    a = _parse_params(args.params, args.max_sum - 1) if args.params else None
+    kinds = [("q", q_lambda, q_sym_at)]
+    if args.params:
+        a = _parse_params(args.params, args.max_sum - 1)
+        kinds.append(("qa", lambda lam: multiparam_q(lam, a),
+                      lambda lam, xs: qa_sym_at(lam, a, xs)))
     failures = 0
-    for lam in strict_partitions(args.max_sum):
-        if not lam:
-            continue
+    for lam in strict_partitions(args.max_sum)[1:]:
         name = ",".join(map(str, lam))
-        ferm = q_lambda(lam)
-        bad = 0
-        for xs in points:
-            lhs = q_sym_at(lam, xs)
-            rhs = eval_powersums(ferm, xs)
-            if lhs != rhs:
-                bad += 1
-                print(f"MISMATCH q {name}: {lhs} != {rhs}")
-        failures += bad
-        if not bad:
-            print(f"ok q {name}")
-        if a is None:
-            continue
-        mq = multiparam_q(lam, a)
-        bad = 0
-        for xs in points:
-            lhs = qa_sym_at(lam, a, xs)
-            rhs = eval_powersums(mq, xs)
-            if lhs != rhs:
-                bad += 1
-                print(f"MISMATCH qa {name}: {lhs} != {rhs}")
-        failures += bad
-        if not bad:
-            print(f"ok qa {name}")
+        for kind, build, sym_at in kinds:
+            f = build(lam)
+            bad = 0
+            for xs in points:
+                lhs = sym_at(lam, xs)
+                rhs = eval_powersums(f, xs)
+                if lhs != rhs:
+                    bad += 1
+                    print(f"MISMATCH {kind} {name}: {lhs} != {rhs}")
+            failures += bad
+            if not bad:
+                print(f"ok {kind} {name}")
     if failures:
         print(f"FAIL: {failures} mismatches")
         return 1

@@ -21,13 +21,12 @@ sum_n (-1)^n phi_n tau (x) phi_{-n} tau = tau (x) tau.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from functools import cache
 
-from .ring import Mono, Poly, Tensor, mono_weight
+from .ring import Mono, Poly, Tensor
 from .series import schur_q_row
-
-_PHI_MONO_CACHE: dict[tuple[int, Mono], Poly] = {}
-_Q_LAMBDA_CACHE: dict[tuple[int, ...], Poly] = {}
 
 
 def exp_derivation_coeffs(f: Poly, sign: int = -1) -> list[Poly]:
@@ -50,16 +49,12 @@ def exp_derivation_coeffs(f: Poly, sign: int = -1) -> list[Poly]:
     return out
 
 
+@cache
 def _phi_mono(m: int, mono: Mono) -> Poly:
-    key = (m, mono)
-    hit = _PHI_MONO_CACHE.get(key)
-    if hit is None:
-        gs = exp_derivation_coeffs(Poly.from_mono(mono), sign=-1)
-        hit = Poly.lincomb(
-            (schur_q_row(m + k) * g, 1) for k, g in enumerate(gs) if m + k >= 0 and g
-        )
-        _PHI_MONO_CACHE[key] = hit
-    return hit
+    gs = exp_derivation_coeffs(Poly.from_mono(mono), sign=-1)
+    return Poly.lincomb(
+        (schur_q_row(m + k) * g, 1) for k, g in enumerate(gs) if m + k >= 0 and g
+    )
 
 
 def apply_phi(m: int, f: Poly) -> Poly:
@@ -75,15 +70,22 @@ def q_lambda(index: tuple[int, ...]) -> Poly:
     Entries may be arbitrary integers; for strictly decreasing positive
     indices this is the classical Schur Q-function of the partition.
     """
-    vec = tuple(int(v) for v in index)
-    hit = _Q_LAMBDA_CACHE.get(vec)
-    if hit is None:
-        if not vec:
-            hit = Poly.one()
-        else:
-            hit = apply_phi(vec[0], q_lambda(vec[1:]))
-        _Q_LAMBDA_CACHE[vec] = hit
-    return hit
+    return _q_lambda(tuple(int(v) for v in index))
+
+
+@cache
+def _q_lambda(vec: tuple[int, ...]) -> Poly:
+    return apply_phi(vec[0], _q_lambda(vec[1:])) if vec else Poly.one()
+
+
+def _omega_triples(f: Poly, g: Poly, c=1, widen: int = 0):
+    """The nonzero terms (phi_n f, phi_{-n} g, (-1)^n c) of
+    c * sum_n (-1)^n phi_n f (x) phi_{-n} g, over the range of n that
+    apply_omega describes, enlarged by widen on both sides."""
+    for n in range(-f.weight() - widen, g.weight() + widen + 1):
+        left = apply_phi(n, f)
+        if left:
+            yield left, apply_phi(-n, g), c if n % 2 == 0 else -c
 
 
 def apply_omega(t: Tensor, widen: int = 0) -> Tensor:
@@ -98,17 +100,11 @@ def apply_omega(t: Tensor, widen: int = 0) -> Tensor:
     """
     if widen < 0:
         raise ValueError("widen must be nonnegative")
-
-    def triples():
-        for (ml, mr), c in t.terms.items():
-            fl = Poly.from_mono(ml)
-            fr = Poly.from_mono(mr)
-            for n in range(-mono_weight(ml) - widen, mono_weight(mr) + widen + 1):
-                left = apply_phi(n, fl)
-                if left:
-                    yield left, apply_phi(-n, fr), c if n % 2 == 0 else -c
-
-    return Tensor.lincomb(triples())
+    return Tensor.lincomb(
+        triple
+        for (ml, mr), c in t.terms.items()
+        for triple in _omega_triples(Poly.from_mono(ml), Poly.from_mono(mr), c, widen)
+    )
 
 
 def is_bkp_tau_bilinear(f: Poly) -> tuple[bool, Tensor]:
@@ -119,12 +115,5 @@ def is_bkp_tau_bilinear(f: Poly) -> tuple[bool, Tensor]:
     """
     if f.family != "p":
         raise ValueError("fermion operators act on power-sum polynomials")
-    w = f.weight()
-    triples = [
-        (left, apply_phi(-n, f), 1 if n % 2 == 0 else -1)
-        for n in range(-w, w + 1)
-        if (left := apply_phi(n, f))
-    ]
-    triples.append((f, f, -1))
-    acc = Tensor.lincomb(triples)
+    acc = Tensor.lincomb(itertools.chain(_omega_triples(f, f), [(f, f, -1)]))
     return (acc.is_zero(), acc)

@@ -27,6 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .ring import (
     EMPTY_MONO,
@@ -40,9 +41,6 @@ from .ring import (
     mono_weight,
 )
 from .series import exp_series
-
-_RAW_CACHE: dict[int, dict[Mono, Poly]] = {}
-_CANONICAL_CACHE: dict[int, dict[Mono, Poly]] = {}
 
 
 def p_to_x(f: Poly) -> Poly:
@@ -164,10 +162,8 @@ def hirota_apply_taylor(p: Poly, f: Poly, g: Poly) -> Poly:
     return Poly._make(out, "x")
 
 
+@cache
 def _generate_raw(max_weight: int) -> dict[Mono, Poly]:
-    hit = _RAW_CACHE.get(max_weight)
-    if hit is not None:
-        return hit
     xs_y = [
         Poly.variable(n, "y") * (-2) if n % 2 == 1 else Fraction(0)
         for n in range(1, max_weight + 1)
@@ -178,22 +174,11 @@ def _generate_raw(max_weight: int) -> dict[Mono, Poly]:
     ]
     sy = exp_series(xs_y, max_weight)
     sd = exp_series(xs_d, max_weight)
-    cap = max_weight - 1
-    efac: dict[Mono, Poly] = {EMPTY_MONO: Poly.one("D")}
-    for n in range(1, cap + 1, 2):
-        new = dict(efac)
-        dn = Poly.variable(n, "D")
-        for mu, p in efac.items():
-            base = mono_weight(mu)
-            power = p
-            fact = 1
-            e = 1
-            while base + n * e <= cap:
-                power = power * dn
-                fact *= e
-                new[mono_mul(mu, ((n, e),))] = power * Fraction(1, fact)
-                e += 1
-        efac = new
+    # The y^mu coefficient of exp(sum_n y_n D_n) is D^mu / mu!.
+    efac = {
+        mu: Poly.from_mono(mu, Fraction(1, math.prod(math.factorial(e) for _, e in mu)), "D")
+        for mu in graded_monomials(max_weight - 1)
+    }
     pairs: dict[Mono, list[tuple[Poly, Fraction]]] = {}
     for m in range(1, max_weight + 1):
         sym = sy[m]
@@ -214,8 +199,15 @@ def _generate_raw(max_weight: int) -> dict[Mono, Poly]:
             raise ArithmeticError(f"inhomogeneous equation at {mono_text(key, 'y')}")
         if val:
             out[key] = val
-    _RAW_CACHE[max_weight] = out
     return out
+
+
+@cache
+def _generate_canonical(max_weight: int) -> dict[Mono, Poly]:
+    return {
+        key: Poly._make({m: c for m, c in val.terms.items() if mono_degree(m) % 2 == 0}, "D")
+        for key, val in _generate_raw(max_weight).items()
+    }
 
 
 def bkp_generate(max_weight: int, canonical: bool = True) -> dict[Mono, Poly]:
@@ -229,18 +221,7 @@ def bkp_generate(max_weight: int, canonical: bool = True) -> dict[Mono, Poly]:
     """
     if max_weight < 2:
         raise ValueError("max_weight must be at least 2")
-    if not canonical:
-        return dict(_generate_raw(max_weight))
-    hit = _CANONICAL_CACHE.get(max_weight)
-    if hit is None:
-        hit = {}
-        for key, val in _generate_raw(max_weight).items():
-            hit[key] = Poly._make(
-                {m: c for m, c in val.terms.items() if mono_degree(m) % 2 == 0},
-                "D",
-            )
-        _CANONICAL_CACHE[max_weight] = hit
-    return dict(hit)
+    return dict((_generate_canonical if canonical else _generate_raw)(max_weight))
 
 
 def equation_listing(max_weight: int) -> list[str]:

@@ -22,12 +22,11 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import cache
 
 from .fermion import apply_phi, q_lambda
 from .ring import Poly
 from .series import ParamSeq, elem_sym, shifted_transition
-
-_MQ_CACHE: dict[tuple[tuple[int, ...], tuple[Fraction, ...]], Poly] = {}
 
 
 def normalize_index(alpha: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -71,17 +70,17 @@ def multiparam_q(alpha: tuple[int, ...], a: ParamSeq) -> Poly:
     vec = tuple(int(v) for v in alpha)
     if any(v <= 0 for v in vec):
         raise ValueError("entries must be positive integers")
-    key = (vec, a.values)
-    hit = _MQ_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _multiparam_q(vec, a.values)
+
+
+@cache
+def _multiparam_q(vec: tuple[int, ...], values: tuple[Fraction, ...]) -> Poly:
+    a = ParamSeq(values)
     slot_lists = [_slot_coeffs(part, a) for part in vec]
-    hit = Poly.lincomb(
+    return Poly.lincomb(
         (q_lambda(tuple(lam for lam, _ in combo)), math.prod(c for _, c in combo))
         for combo in itertools.product(*slot_lists)
     )
-    _MQ_CACHE[key] = hit
-    return hit
 
 
 def multiparam_q_via_fermions(alpha: tuple[int, ...], a: ParamSeq) -> Poly:

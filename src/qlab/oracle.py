@@ -37,13 +37,12 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import cache
 
 from .ring import Poly, Scalar, accumulate, mono_mul
 from .series import ParamSeq, schur_q_row
 
 MAX_VARS = 8
-
-_PAIR_CACHE: dict[tuple[int, tuple[int, ...]], Poly] = {}
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -59,6 +58,7 @@ def _mul_var_binomial(terms: dict, p: int, q: int, sgn: int) -> dict:
     ))
 
 
+@cache
 def _pair_factor(n_vars: int, s: tuple[int, ...]) -> Poly:
     """The common-denominator numerator factor for an ordered tuple s.
 
@@ -67,10 +67,6 @@ def _pair_factor(n_vars: int, s: tuple[int, ...]) -> Poly:
     with the sign that corrects each original difference factor to the
     index-increasing orientation used by the global Vandermonde product.
     """
-    key = (n_vars, s)
-    hit = _PAIR_CACHE.get(key)
-    if hit is not None:
-        return hit
     comp = [c for c in range(1, n_vars + 1) if c not in s]
     sums = [(a, b) for i, a in enumerate(s) for b in s[i + 1:] + tuple(comp)]
     terms: dict = {(): Fraction((-1) ** sum(a > b for a, b in sums))}
@@ -78,8 +74,7 @@ def _pair_factor(n_vars: int, s: tuple[int, ...]) -> Poly:
         terms = _mul_var_binomial(terms, a, b, 1)
     for a, b in itertools.combinations(comp, 2):
         terms = _mul_var_binomial(terms, a, b, -1)
-    hit = _PAIR_CACHE[key] = Poly._make(terms, "v")
-    return hit
+    return Poly._make(terms, "v")
 
 
 def _div_linear(terms: dict, p: int, q: int) -> dict:
@@ -300,22 +295,7 @@ def eval_powersums(f: Poly, xs: list[Scalar]) -> Fraction:
     if f.family != "p":
         raise ValueError("expected a power-sum polynomial")
     vals = [Fraction(x) for x in xs]
-    cache: dict[int, Fraction] = {}
-
-    def psum(n: int) -> Fraction:
-        hit = cache.get(n)
-        if hit is None:
-            hit = sum((x ** n for x in vals), _ZERO)
-            cache[n] = hit
-        return hit
-
-    total = _ZERO
-    for mono, c in f.terms.items():
-        term = c
-        for n, e in mono:
-            term *= psum(n) ** e
-        total += term
-    return total
+    return f.evaluate({n: sum((x ** n for x in vals), _ZERO) for n in f.support_indices()})
 
 
 def powersum_image(f: Poly, n_vars: int) -> Poly:

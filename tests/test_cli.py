@@ -161,6 +161,16 @@ def test_oracle_compare_weight_cap(monkeypatch, capsys):
     assert out.splitlines()[-1] == "PASS: oracle agrees"
 
 
+def test_oracle_compare_short_params_rejected_first(capsys):
+    # --max-sum 4 needs a_0..a_3; the check comes before any "ok" line.
+    code, out, err = run_cli(
+        capsys, "oracle-compare", "--max-sum", "4", "--nvars", "3", "--params", "0,1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "too short" in err
+
+
 def test_malformed_inputs_exit_2(capsys):
     assert run_cli(capsys, "q", "2,,1")[0] == 2
     assert run_cli(capsys, "qa", "4", "--params", "0,1/2")[0] == 2

@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 
 from qlab import (
+    ParamSeq,
     Poly,
     apply_omega,
     apply_phi,
     exp_derivation_coeffs,
     graded_monomials,
     is_bkp_tau_bilinear,
+    multiparam_q,
     q_lambda,
     schur_q_row,
     tensor_map,
@@ -158,6 +160,15 @@ def test_is_bkp_witness_fails(witness):
     ok, disc = is_bkp_tau_bilinear(witness)
     assert not ok
     assert not disc.is_zero()
+
+
+def test_is_bkp_discrepancy_is_omega_minus_square(witness):
+    # Both functions sum the same Omega terms; on f (x) f apply_omega
+    # expands every pair of monomials separately.
+    taus = [q_lambda((3, 1)), multiparam_q((3, 1), ParamSeq.factorial(2)), witness]
+    for f in taus:
+        ff = tensor_of(f, f)
+        assert is_bkp_tau_bilinear(f)[1] == apply_omega(ff) - ff
 
 
 def test_is_bkp_pure_combination_passes():

@@ -21,12 +21,14 @@ from qlab import (
     schur_q_row,
     x_to_p,
 )
+from qlab.ring import mono_sort_key, mono_text
 
 from conftest import rand_poly
 
 F = Fraction
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "hierarchy_w6.txt")
+GOLDEN_RAW = os.path.join(os.path.dirname(__file__), "golden", "hierarchy_raw_w10.txt")
 
 
 def dvar(n):
@@ -140,6 +142,14 @@ def test_equation_listing_matches_golden():
     with open(GOLDEN) as fh:
         golden = fh.read().splitlines()
     assert equation_listing(6) == golden
+
+
+def test_bkp_generate_raw_matches_golden():
+    # Every unreduced coefficient up to weight 10, odd-degree parts included.
+    raw = bkp_generate(10, canonical=False)
+    lines = [f"{mono_text(m, 'y')} : {raw[m].text()}" for m in sorted(raw, key=mono_sort_key)]
+    with open(GOLDEN_RAW) as fh:
+        assert lines == fh.read().splitlines()
 
 
 def test_bkp_check_passes_on_solutions():
