@@ -40,10 +40,10 @@ import sys
 from fractions import Fraction
 
 from .fermion import is_bkp_tau_bilinear, q_lambda
-from .hirota import bkp_check, bkp_generate, equation_listing, p_to_x, x_to_p
+from .hirota import _equations, bkp_check, equation_listing, p_to_x, x_to_p
 from .multiparam import multiparam_q
 from .oracle import MAX_VARS, eval_powersums, q_sym_at, qa_sym_at
-from .ring import Poly, graded_monomials, strict_partitions
+from .ring import Poly, strict_partitions
 from .serialize import poly_from_json_dict, poly_to_json_dict
 from .series import ParamSeq
 
@@ -140,17 +140,11 @@ def _cmd_qa(args) -> int:
 def _cmd_hierarchy(args) -> int:
     w = _max_weight(args.max_weight)
     if args.format == "json":
-        eqs = bkp_generate(w, canonical=True)
-        zero = Poly.zero("D")
         payload = {
             "max_weight": w,
             "equations": [
-                {
-                    "y": {str(n): e for n, e in mono},
-                    "coefficient": poly_to_json_dict(eqs.get(mono, zero)),
-                }
-                for mono in graded_monomials(w)
-                if mono
+                {"y": {str(n): e for n, e in mono}, "coefficient": poly_to_json_dict(p)}
+                for mono, p in _equations(w)
             ],
         }
         print(json.dumps(payload))

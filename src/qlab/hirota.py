@@ -66,44 +66,47 @@ def _rescale(f: Poly, family: str, factor) -> Poly:
     )
 
 
-def _derivative(dmono: Mono, cache: dict[Mono, Poly]) -> Poly:
-    hit = cache.get(dmono)
-    if hit is None:
-        n, e = dmono[-1]
-        parent = dmono[:-1] if e == 1 else dmono[:-1] + ((n, e - 1),)
-        hit = _derivative(parent, cache).diff(n)
-        cache[dmono] = hit
-    return hit
+class _Derivatives(dict):
+    """The map from a derivative monomial alpha to d^alpha f, each
+    derivative formed once, from its parent, at its first lookup."""
+
+    def __init__(self, f: Poly):
+        super().__init__({EMPTY_MONO: f})
+
+    def __missing__(self, alpha: Mono) -> Poly:
+        n, e = alpha[-1]
+        parent = alpha[:-1] if e == 1 else alpha[:-1] + ((n, e - 1),)
+        self[alpha] = value = self[parent].diff(n)
+        return value
 
 
-def _binomial_terms(p: Poly, fcache: dict[Mono, Poly], gcache: dict[Mono, Poly]):
-    """The products of the signed binomial sum, each with its coefficient
-    applied to the left factor before multiplying out."""
-    for gamma, cg in p.terms.items():
+def _hirota_values(f: Poly, g: Poly):
+    """The map gamma -> D^gamma f.g, memoized for as long as the map is held.
+
+    D^gamma f.g is the signed binomial sum over derivative splittings
+    alpha + beta = gamma of (-1)^|beta| binom(gamma, alpha) d^alpha f d^beta g.
+    """
+    df = _Derivatives(f)
+    dg = df if g is f else _Derivatives(g)
+
+    @cache
+    def value(gamma: Mono) -> Poly:
         exps = [e for _, e in gamma]
-        idxs = [n for n, _ in gamma]
+        items = []
         for alphas in itertools.product(*(range(e + 1) for e in exps)):
-            coef = cg
-            left = []
-            right = []
-            for n, e, aa in zip(idxs, exps, alphas):
-                coef *= math.comb(e, aa)
-                if (e - aa) % 2 == 1:
-                    coef = -coef
-                if aa:
-                    left.append((n, aa))
-                if e - aa:
-                    right.append((n, e - aa))
-            lf = _derivative(tuple(left), fcache)
-            if not lf:
-                continue
-            rg = _derivative(tuple(right), gcache)
-            if rg:
-                yield lf * coef * rg, 1
+            lf = df[tuple((n, a) for (n, _), a in zip(gamma, alphas) if a)]
+            rg = dg[tuple((n, e - a) for (n, e), a in zip(gamma, alphas) if e - a)]
+            if lf and rg:
+                sign = (-1) ** (sum(exps) - sum(alphas))
+                items.append((lf * rg, sign * math.prod(map(math.comb, exps, alphas))))
+        return Poly.lincomb(items, "x")
+
+    return value
 
 
-def _apply_cached(p: Poly, fcache: dict[Mono, Poly], gcache: dict[Mono, Poly]) -> Poly:
-    return Poly.lincomb(_binomial_terms(p, fcache, gcache), "x")
+def _apply(p: Poly, values) -> Poly:
+    """P(D) f.g as the sum of c_gamma D^gamma f.g over the terms of P."""
+    return Poly.lincomb(((values(gamma), c) for gamma, c in p.terms.items()), "x")
 
 
 def hirota_apply(p: Poly, f: Poly, g: Poly) -> Poly:
@@ -112,9 +115,7 @@ def hirota_apply(p: Poly, f: Poly, g: Poly) -> Poly:
         raise ValueError("expected a Hirota symbol polynomial")
     if f.family != "x" or g.family != "x":
         raise ValueError("expected rescaled-time polynomials")
-    fcache = {EMPTY_MONO: f}
-    gcache = fcache if g is f else {EMPTY_MONO: g}
-    return _apply_cached(p, fcache, gcache)
+    return _apply(p, _hirota_values(f, g))
 
 
 def _doubled(f: Poly, sgn: int) -> dict[tuple[Mono, Mono], Fraction]:
@@ -224,17 +225,21 @@ def bkp_generate(max_weight: int, canonical: bool = True) -> dict[Mono, Poly]:
     return dict((_generate_canonical if canonical else _generate_raw)(max_weight))
 
 
+def _equations(max_weight: int):
+    """Yield (y-monomial, canonical Hirota polynomial) for every formal
+    monomial of weight 1..max_weight in canonical order; the polynomial is
+    zero where the equation is trivially satisfied."""
+    eqs = bkp_generate(max_weight, canonical=True)
+    zero = Poly.zero("D")
+    for mono in graded_monomials(max_weight):
+        if mono:
+            yield mono, eqs.get(mono, zero)
+
+
 def equation_listing(max_weight: int) -> list[str]:
     """One line per formal monomial of weight <= max_weight, in canonical
     order: '<y monomial> : <canonical Hirota polynomial>'."""
-    eqs = bkp_generate(max_weight, canonical=True)
-    zero = Poly.zero("D")
-    lines = []
-    for mono in graded_monomials(max_weight):
-        if not mono:
-            continue
-        lines.append(f"{mono_text(mono, 'y')} : {eqs.get(mono, zero).text()}")
-    return lines
+    return [f"{mono_text(mono, 'y')} : {p.text()}" for mono, p in _equations(max_weight)]
 
 
 @dataclass
@@ -260,18 +265,14 @@ def bkp_check(f: Poly, max_weight: int) -> HierarchyReport:
     equations whose residual is nonzero.
     """
     tau = p_to_x(f)
-    eqs = bkp_generate(max_weight, canonical=True)
-    cache = {EMPTY_MONO: tau}
+    values = _hirota_values(tau, tau)
     report = HierarchyReport(max_weight=max_weight, checked=0)
-    for ymono in graded_monomials(max_weight):
-        if not ymono:
-            continue
+    for ymono, p in _equations(max_weight):
         name = mono_text(ymono, "y")
-        p = eqs.get(ymono)
-        if p is None or p.is_zero():
+        if not p:
             report.trivial.append(name)
             continue
-        residual = _apply_cached(p, cache, cache)
+        residual = _apply(p, values)
         report.checked += 1
         if residual:
             report.failures[name] = residual

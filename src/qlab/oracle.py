@@ -249,19 +249,14 @@ def genq_expand(l: int, cutoff: int) -> dict[tuple[int, ...], Poly]:
     if not 0 <= cutoff <= 10:
         raise ValueError("cutoff must be between 0 and 10")
 
-    prod_cache: dict[tuple[int, ...], Poly] = {}
+    @cache
+    def row_product(ks: tuple[int, ...]) -> Poly:
+        return math.prod((schur_q_row(k) for k in ks), start=Poly.one())
 
     def q_prod(ks: tuple[int, ...]) -> Poly:
         if any(k < 0 for k in ks):
             return Poly.zero()
-        key = tuple(sorted(ks))
-        hit = prod_cache.get(key)
-        if hit is None:
-            hit = Poly.one()
-            for k in key:
-                hit = hit * schur_q_row(k)
-            prod_cache[key] = hit
-        return hit
+        return row_product(tuple(sorted(ks)))
 
     def wt(r: int) -> int:
         if r == 0:
@@ -304,21 +299,13 @@ def powersum_image(f: Poly, n_vars: int) -> Poly:
     if f.family != "p":
         raise ValueError("expected a power-sum polynomial")
     _check_nvars(n_vars)
-    base: dict[int, Poly] = {}
-
-    def psum(n: int) -> Poly:
-        hit = base.get(n)
-        if hit is None:
-            hit = Poly(
-                {((s, n),): Fraction(1) for s in range(1, n_vars + 1)},
-                family="v",
-            )
-            base[n] = hit
-        return hit
-
+    psum = {
+        n: Poly({((s, n),): Fraction(1) for s in range(1, n_vars + 1)}, family="v")
+        for n in f.support_indices()
+    }
     one = Poly.one("v")
     return Poly.lincomb(
-        ((math.prod((psum(n) ** e for n, e in mono), start=one), c)
+        ((math.prod((psum[n] ** e for n, e in mono), start=one), c)
          for mono, c in f.terms.items()),
         "v",
     )

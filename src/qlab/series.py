@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .ring import Poly, Scalar
+from .ring import Poly, Scalar, _frozen
 
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
@@ -298,7 +298,12 @@ class ParamSeq:
             raise ValueError("parameter sequence must provide a_0")
         if vals[0] != 0:
             raise ValueError("parameter sequence must have a_0 = 0")
-        self.values = vals
+        object.__setattr__(self, "values", vals)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __reduce__(self):
+        return ParamSeq, (self.values,)
 
     @property
     def max_index(self) -> int:

@@ -170,6 +170,27 @@ def test_bkp_check_fails_on_witness(witness):
         assert not residual.is_zero()
 
 
+@pytest.mark.parametrize("which", ["witness", "q75_perturbed"])
+def test_bkp_check_residuals_match_taylor(which, witness):
+    """Every residual of the memoized evaluator equals the independent
+    doubled-variable route, equation by equation, failing or not."""
+    tau = witness if which == "witness" else (
+        q_lambda((7, 5)) + Poly.variable(1) ** 2 * q_lambda((6, 4)) * F(2, 7))
+    report = bkp_check(tau, 8)
+    assert report.failures
+    x = p_to_x(tau)
+    checked = set()
+    for mono, p in bkp_generate(8).items():
+        name = mono_text(mono, "y")
+        if not p:
+            assert name in report.trivial
+            continue
+        checked.add(name)
+        assert report.failures.get(name, Poly.zero("x")) == hirota_apply_taylor(p, x, x)
+    assert len(checked) == report.checked
+    assert set(report.failures) <= checked
+
+
 def test_bkp_check_trivial_equations_reported():
     report = bkp_check(Poly.one("p"), 6)
     assert report.passed

@@ -1,5 +1,7 @@
 """Tests for series conversions, one-row Q polynomials, and transitions."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -160,6 +162,22 @@ def test_param_seq_families_and_parse():
         ParamSeq.parse("0,,1")
     with pytest.raises(ValueError):
         ParamSeq.parse("")
+
+
+def test_param_seq_is_immutable():
+    a = ParamSeq.parse("0,1")
+    table = {a: 1}
+    with pytest.raises(AttributeError):
+        a.values = (F(5),)
+    with pytest.raises(AttributeError):
+        del a.values
+    assert a.values == (F(0), F(1))
+    assert a in table
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(twin) is ParamSeq
+        assert twin == a
+        assert hash(twin) == hash(a)
+        assert twin in table
 
 
 def test_shifted_transition_examples():
