@@ -27,7 +27,8 @@ starting with 0, or the named families 'zero' and 'factorial'.
 Exit status: 0 success, 1 a verification failed, 2 usage error, 3 internal
 error (an unexpected exception, reported on stderr).  The environment
 variable QLAB_MAX_WEIGHT, if set, caps the accepted --max-weight and
---max-sum values.
+--max-sum values, the weight of a q/qa index vector (the sum of the
+absolute values of its entries) and the weight of a json: tau.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ def _parse_vector(text: str, positive: bool = False) -> tuple[int, ...]:
         raise ValueError(f"malformed index vector {text!r}") from None
     if positive and any(v <= 0 for v in vec):
         raise ValueError(f"index vector must have positive entries: {text!r}")
+    _weight_cap(sum(map(abs, vec)))
     return vec
 
 
@@ -90,11 +92,10 @@ def _load_tau(spec: str) -> Poly:
     if kind == "json":
         with open(rest, encoding="utf-8") as fh:
             poly = poly_from_json_dict(json.load(fh))
-        if poly.family == "x":
-            return x_to_p(poly)
-        if poly.family == "p":
-            return poly
-        raise ValueError("tau polynomial must use vars 'p' or 'x'")
+        if poly.family not in ("p", "x"):
+            raise ValueError("tau polynomial must use vars 'p' or 'x'")
+        _weight_cap(poly.weight())
+        return x_to_p(poly) if poly.family == "x" else poly
     raise ValueError(f"unknown tau spec kind {kind!r}")
 
 
@@ -115,7 +116,7 @@ def _weight_cap(requested: int) -> None:
         raise ValueError(f"invalid QLAB_MAX_WEIGHT value {cap!r}") from None
     if requested > cap_val:
         raise ValueError(
-            f"max weight {requested} exceeds the QLAB_MAX_WEIGHT cap {cap_val}"
+            f"weight {requested} exceeds the QLAB_MAX_WEIGHT cap {cap_val}"
         )
 
 

@@ -78,14 +78,43 @@ def _q_lambda(vec: tuple[int, ...]) -> Poly:
     return apply_phi(vec[0], _q_lambda(vec[1:])) if vec else Poly.one()
 
 
+class _PhiImages(dict):
+    """The map m -> phi_m h, each image formed once, at its first lookup."""
+
+    def __init__(self, h: Poly):
+        super().__init__()
+        self.h = h
+
+    def __missing__(self, m: int) -> Poly:
+        self[m] = value = apply_phi(m, self.h)
+        return value
+
+
 def _omega_triples(f: Poly, g: Poly, c=1, widen: int = 0):
     """The nonzero terms (phi_n f, phi_{-n} g, (-1)^n c) of
     c * sum_n (-1)^n phi_n f (x) phi_{-n} g, over the range of n that
-    apply_omega describes, enlarged by widen on both sides."""
+    apply_omega describes, enlarged by widen on both sides.
+
+    Of the two factors, the one whose index is not positive is formed
+    first: phi_m h with m <= 0 keeps only the terms Q_{m+k} g_k(h) with
+    k >= -m, so it is the cheap annihilation side and is zero for most m
+    (on Q_lambda, phi_{-n} is nonzero only for the parts n of lambda).
+    The other, creation factor is formed only when the first is nonzero;
+    a term with a zero factor is zero, so skipping it is exact.  Each
+    phi_m f and phi_m g is formed at most once per call, and when g is f
+    both sides read one map.
+    """
+    phi_f = _PhiImages(f)
+    phi_g = phi_f if g is f else _PhiImages(g)
     for n in range(-f.weight() - widen, g.weight() + widen + 1):
-        left = apply_phi(n, f)
-        if left:
-            yield left, apply_phi(-n, g), c if n % 2 == 0 else -c
+        if n > 0:
+            right = phi_g[-n]
+            left = right and phi_f[n]
+        else:
+            left = phi_f[n]
+            right = left and phi_g[-n]
+        if left and right:
+            yield left, right, c if n % 2 == 0 else -c
 
 
 def apply_omega(t: Tensor, widen: int = 0) -> Tensor:
@@ -96,7 +125,9 @@ def apply_omega(t: Tensor, widen: int = 0) -> Tensor:
     phi_n f = 0 for n < -weight(f) and phi_{-n} g = 0 for n > weight(g),
     so the sum runs over -weight(f) <= n <= weight(g).  The widen
     parameter enlarges that range symmetrically; the result must not
-    depend on it, which tests exercise.
+    depend on it, which tests exercise.  For each n the annihilation
+    factor (phi_{-n} g for n > 0, phi_n f otherwise) is formed first and
+    the creation factor only when it is nonzero (see _omega_triples).
     """
     if widen < 0:
         raise ValueError("widen must be nonnegative")
@@ -112,6 +143,11 @@ def is_bkp_tau_bilinear(f: Poly) -> tuple[bool, Tensor]:
 
     Returns the verdict together with the discrepancy tensor
     (left side minus right side), which is zero exactly on success.
+    Both sides of the sum read one map of the images phi_m f, so each is
+    formed at most once, and a creation image phi_n f (n > 0) is formed
+    only when its partner phi_{-n} f is nonzero: on Q_lambda that is
+    only for the parts n of lambda.  Skipped terms have a zero factor,
+    so the tensor is the full sum.
     """
     if f.family != "p":
         raise ValueError("fermion operators act on power-sum polynomials")

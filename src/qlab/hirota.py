@@ -8,7 +8,10 @@ A Hirota symbol polynomial P(D_1, D_3, ...) acts on a pair (f, g) by
 which for a monomial D^gamma expands into the signed binomial sum over
 derivative splittings.  Two independent evaluators are provided: the
 binomial expansion (primary) and a literal doubled-variable shift
-product that never forms a derivative or a binomial coefficient.
+product that never forms a derivative or a binomial coefficient.  On a
+pair (f, f), the binomial expansion uses D^gamma f.g = (-1)^|gamma|
+D^gamma g.f: it returns zero for odd |gamma| and otherwise sums half
+the splittings, doubling the terms whose mirror it skips.
 
 The hierarchy generator expands
 
@@ -85,6 +88,10 @@ def _hirota_values(f: Poly, g: Poly):
 
     D^gamma f.g is the signed binomial sum over derivative splittings
     alpha + beta = gamma of (-1)^|beta| binom(gamma, alpha) d^alpha f d^beta g.
+    When g is f, D^gamma f.f = (-1)^|gamma| D^gamma f.f: it is zero for odd
+    |gamma|, and for even |gamma| the splittings (alpha, beta) and
+    (beta, alpha) give equal terms, so only alpha <= beta (as exponent
+    tuples) is summed, with the terms alpha < beta doubled.
     """
     df = _Derivatives(f)
     dg = df if g is f else _Derivatives(g)
@@ -92,13 +99,18 @@ def _hirota_values(f: Poly, g: Poly):
     @cache
     def value(gamma: Mono) -> Poly:
         exps = [e for _, e in gamma]
+        if g is f and sum(exps) % 2:
+            return Poly.zero("x")
         items = []
         for alphas in itertools.product(*(range(e + 1) for e in exps)):
+            betas = tuple(e - a for e, a in zip(exps, alphas))
+            if g is f and alphas > betas:
+                continue
             lf = df[tuple((n, a) for (n, _), a in zip(gamma, alphas) if a)]
-            rg = dg[tuple((n, e - a) for (n, e), a in zip(gamma, alphas) if e - a)]
+            rg = dg[tuple((n, b) for (n, _), b in zip(gamma, betas) if b)]
             if lf and rg:
-                sign = (-1) ** (sum(exps) - sum(alphas))
-                items.append((lf * rg, sign * math.prod(map(math.comb, exps, alphas))))
+                c = (-1) ** sum(betas) * math.prod(map(math.comb, exps, alphas))
+                items.append((lf * rg, 2 * c if g is f and alphas < betas else c))
         return Poly.lincomb(items, "x")
 
     return value

@@ -192,6 +192,39 @@ def test_weight_cap_env(monkeypatch, capsys):
     assert out.splitlines()
 
 
+def assert_capped(result):
+    code, out, err = result
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "cap" in err
+    assert "Traceback" not in err
+
+
+def test_weight_cap_q_vector(monkeypatch, capsys):
+    # The weight of an index vector is the sum of |entries|.
+    monkeypatch.setenv("QLAB_MAX_WEIGHT", "5")
+    assert_capped(run_cli(capsys, "q", "3,2,1"))
+    assert_capped(run_cli(capsys, "q", "--", "-4,2"))
+    assert_capped(run_cli(capsys, "check-bilinear", "--tau", "q:5,1"))
+    assert run_cli(capsys, "q", "3,2")[0] == 0
+
+
+def test_weight_cap_qa_vector(monkeypatch, capsys):
+    monkeypatch.setenv("QLAB_MAX_WEIGHT", "5")
+    assert_capped(run_cli(capsys, "qa", "4,2", "--params", "factorial"))
+    assert_capped(run_cli(capsys, "check-bkp", "--tau", "qa:4,2@factorial", "--max-weight", "4"))
+    assert run_cli(capsys, "qa", "4,1", "--params", "factorial")[0] == 0
+
+
+def test_weight_cap_json_tau(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("QLAB_MAX_WEIGHT", "5")
+    path = tmp_path / "tau.json"
+    path.write_text(json.dumps(poly_to_json_dict(q_lambda((4, 2)))))
+    assert_capped(run_cli(capsys, "check-bilinear", "--tau", f"json:{path}"))
+    path.write_text(json.dumps(poly_to_json_dict(q_lambda((4, 1)))))
+    assert run_cli(capsys, "check-bilinear", "--tau", f"json:{path}")[0] == 0
+
+
 def test_serialize_round_trip():
     f = q_lambda((3, 1)) + Poly.one("p") * F(7, 2)
     assert poly_from_json_dict(poly_to_json_dict(f)) == f

@@ -1,5 +1,6 @@
 """Tests for the neutral-fermion operators and the bilinear-identity checker."""
 
+import os
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from qlab import (
     ParamSeq,
     Poly,
+    Tensor,
     apply_omega,
     apply_phi,
     exp_derivation_coeffs,
@@ -23,6 +25,8 @@ from qlab import (
 from conftest import rand_fraction
 
 F = Fraction
+
+GOLDEN_BILINEAR = os.path.join(os.path.dirname(__file__), "golden", "bilinear_q75_perturbed.txt")
 
 
 def test_apply_phi_examples():
@@ -143,6 +147,31 @@ def test_apply_omega_widen_invariance():
     t = tensor_of(q21, q21)
     base = apply_omega(t)
     assert apply_omega(t, widen=3) == base
+
+
+def test_apply_omega_widen_invariance_asymmetric(witness):
+    # Unequal sides and weights; the result is also the plain sum over n
+    # that forms both factors for every n.
+    q31, q21 = q_lambda((3, 1)), q_lambda((2, 1))
+    t = tensor_of(witness, q31) + tensor_of(q21, Poly.one())
+    full = sum(
+        (tensor_of(apply_phi(n, f), apply_phi(-n, g)) * (-1) ** (n % 2)
+         for f, g in [(witness, q31), (q21, Poly.one())] for n in range(-8, 9)),
+        Tensor.zero(),
+    )
+    assert all(apply_omega(t, widen=w) == full for w in range(5))
+
+
+def test_bilinear_discrepancy_matches_golden():
+    # A large non-solution: many creation factors are skipped because
+    # their annihilation partner is zero.
+    p1 = Poly.variable(1)
+    f = q_lambda((7, 5)) + p1 * p1 * q_lambda((6, 4)) * F(2, 7)
+    ok, disc = is_bkp_tau_bilinear(f)
+    assert not ok
+    assert len(disc.terms) == 1912
+    with open(GOLDEN_BILINEAR) as fh:
+        assert disc.text() == fh.read().rstrip("\n")
 
 
 def test_is_bkp_examples():

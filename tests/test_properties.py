@@ -96,3 +96,28 @@ def test_tensor_lincomb_is_sum_of_tensors(triples):
 @given(polys("D", max_terms=2), polys("x", max_terms=3), polys("x", max_terms=3))
 def test_hirota_evaluators_agree(p, f, g):
     assert hirota_apply(p, f, g) == hirota_apply_taylor(p, f, g)
+
+
+def degree_parity(parity):
+    return monos.filter(lambda m: m and sum(e for _, e in m) % 2 == parity)
+
+
+# Both parities are always present: odd |gamma| must give zero on (f, f).
+mixed_hirota = st.tuples(
+    *(st.dictionaries(degree_parity(k), coefs.filter(bool), min_size=1, max_size=2)
+      for k in (0, 1))
+).map(lambda parts: Poly({**parts[0], **parts[1]}, "D"))
+
+
+@settings(deterministic, max_examples=40)
+@given(mixed_hirota, polys("x", max_terms=3))
+def test_hirota_halved_sum_matches_taylor(p, f):
+    # The same object on both sides takes the halved binomial sum.
+    assert hirota_apply(p, f, f) == hirota_apply_taylor(p, f, f)
+
+
+@settings(deterministic, max_examples=40)
+@given(mixed_hirota, polys("x", max_terms=4))
+def test_hirota_halved_sum_matches_full_sum(p, f):
+    # An equal but separate object takes the full binomial sum.
+    assert hirota_apply(p, f, f) == hirota_apply(p, f, Poly(dict(f.terms), "x"))
