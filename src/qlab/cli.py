@@ -37,6 +37,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -281,8 +282,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# An index vector whose first entry is negative, such as -3,2.
+_NEGATIVE_VECTOR = re.compile(r"-\d+(\s*,\s*-?\d+)*")
+
+
+def _vectors_last(argv: list[str]) -> list[str]:
+    """argv with a q/qa index vector that starts with a negative entry
+    moved behind '--'.
+
+    argparse reads an argument such as -3,2 as an unknown option, so
+    `qlab q -3,2` would stop with a missing index.  A vector that follows
+    another option's name is that option's value and stays in place, as
+    does everything once argv already holds '--'.
+    """
+    if argv[:1] not in (["q"], ["qa"]) or "--" in argv:
+        return argv
+    moved = [i for i in range(1, len(argv))
+             if _NEGATIVE_VECTOR.fullmatch(argv[i]) and not argv[i - 1].startswith("-")]
+    if not moved:
+        return argv
+    kept = [a for i, a in enumerate(argv) if i not in moved]
+    return kept + ["--"] + [argv[i] for i in moved]
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _vectors_last(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -50,10 +50,17 @@ def exp_derivation_coeffs(f: Poly, sign: int = -1) -> list[Poly]:
 
 
 @cache
+def _shift_coeffs(mono: Mono) -> tuple[Poly, ...]:
+    """g_0, g_1, ... of one monomial: exp_derivation_coeffs with sign -1,
+    which every phi_m shares."""
+    return tuple(exp_derivation_coeffs(Poly.from_mono(mono), sign=-1))
+
+
+@cache
 def _phi_mono(m: int, mono: Mono) -> Poly:
-    gs = exp_derivation_coeffs(Poly.from_mono(mono), sign=-1)
     return Poly.lincomb(
-        (schur_q_row(m + k) * g, 1) for k, g in enumerate(gs) if m + k >= 0 and g
+        (schur_q_row(m + k) * g, 1)
+        for k, g in enumerate(_shift_coeffs(mono)) if m + k >= 0 and g
     )
 
 
@@ -61,7 +68,7 @@ def apply_phi(m: int, f: Poly) -> Poly:
     """The operator phi_m applied to a power-sum polynomial."""
     if f.family != "p":
         raise ValueError("fermion operators act on power-sum polynomials")
-    return Poly.lincomb((_phi_mono(m, mono), c) for mono, c in f.terms.items())
+    return f._linear_image(lambda mono: _phi_mono(m, mono), "p")
 
 
 def q_lambda(index: tuple[int, ...]) -> Poly:

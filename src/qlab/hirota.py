@@ -63,10 +63,7 @@ def x_to_p(f: Poly) -> Poly:
 
 def _rescale(f: Poly, family: str, factor) -> Poly:
     """Substitute factor(n) * v_n for every variable v_n of f."""
-    return Poly._make(
-        {m: c * math.prod(factor(n) ** e for n, e in m) for m, c in f.terms.items()},
-        family,
-    )
+    return f._scaled_terms(lambda m: math.prod((factor(n) ** e for n, e in m), start=1), family)
 
 
 class _Derivatives(dict):
@@ -118,7 +115,7 @@ def _hirota_values(f: Poly, g: Poly):
 
 def _apply(p: Poly, values) -> Poly:
     """P(D) f.g as the sum of c_gamma D^gamma f.g over the terms of P."""
-    return Poly.lincomb(((values(gamma), c) for gamma, c in p.terms.items()), "x")
+    return p._linear_image(values, "x")
 
 
 def hirota_apply(p: Poly, f: Poly, g: Poly) -> Poly:
@@ -172,7 +169,7 @@ def hirota_apply_taylor(p: Poly, f: Poly, g: Poly) -> Poly:
         for (zm2, xm2), c2 in gm
         if (zm := mono_mul(zm1, zm2)) in scale
     ))
-    return Poly._make(out, "x")
+    return Poly(out, "x")
 
 
 @cache
@@ -218,7 +215,7 @@ def _generate_raw(max_weight: int) -> dict[Mono, Poly]:
 @cache
 def _generate_canonical(max_weight: int) -> dict[Mono, Poly]:
     return {
-        key: Poly._make({m: c for m, c in val.terms.items() if mono_degree(m) % 2 == 0}, "D")
+        key: val._filtered(lambda m: mono_degree(m) % 2 == 0)
         for key, val in _generate_raw(max_weight).items()
     }
 

@@ -26,7 +26,7 @@ from functools import cache
 
 from .fermion import apply_phi, q_lambda
 from .ring import Poly
-from .series import ParamSeq, elem_sym, shifted_transition
+from .series import ParamSeq, elem_syms, shifted_transition
 
 
 def normalize_index(alpha: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -51,10 +51,10 @@ def normalize_index(alpha: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 
 
 def _slot_coeffs(part: int, a: ParamSeq) -> list[tuple[int, Fraction]]:
-    av = a.prefix(part - 1)
+    es = elem_syms(a.prefix(part - 1), part - 1)
     out = []
     for lam in range(1, part + 1):
-        c = elem_sym(part - lam, av)
+        c = es[part - lam]
         if c:
             out.append((lam, c if (part - lam) % 2 == 0 else -c))
     return out

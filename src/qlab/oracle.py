@@ -69,7 +69,7 @@ def _pair_factor(n_vars: int, s: tuple[int, ...]) -> Poly:
     """
     comp = [c for c in range(1, n_vars + 1) if c not in s]
     sums = [(a, b) for i, a in enumerate(s) for b in s[i + 1:] + tuple(comp)]
-    terms: dict = {(): Fraction((-1) ** sum(a > b for a, b in sums))}
+    terms: dict = {(): (-1) ** sum(a > b for a, b in sums)}
     for a, b in sums:
         terms = _mul_var_binomial(terms, a, b, 1)
     for a, b in itertools.combinations(comp, 2):
@@ -112,15 +112,20 @@ def _sym_sum(rows: list[list[Poly]], n_vars: int) -> Poly:
     one = Poly.one("v")
     if l == 0:
         return one
-    total: dict = {}
-    for s in itertools.permutations(range(1, n_vars + 1), l):
-        slots = math.prod((row[v - 1] for row, v in zip(rows, s)), start=one)
-        accumulate(total, (slots * _pair_factor(n_vars, s)).terms.items())
+
+    def terms():
+        for s in itertools.permutations(range(1, n_vars + 1), l):
+            slots = math.prod((row[v - 1] for row, v in zip(rows, s)), start=one)
+            yield slots * _pair_factor(n_vars, s), 1
+
+    total = Poly.lincomb(terms(), "v")
+    # Each division is monic, so it runs on the integer numerators and
+    # leaves their shared denominator as it is.
+    nums = total._nums
     for p in range(1, n_vars + 1):
         for q in range(p + 1, n_vars + 1):
-            total = _div_linear(total, p, q)
-    scale = 2 ** l
-    return Poly._make({m: c * scale for m, c in total.items()}, "v")
+            nums = _div_linear(nums, p, q)
+    return Poly._make(nums, "v", total._den) * 2 ** l
 
 
 def _sym_at(shifts: list[tuple[Fraction, ...]], xs: list[Fraction]) -> Fraction:
@@ -304,8 +309,6 @@ def powersum_image(f: Poly, n_vars: int) -> Poly:
         for n in f.support_indices()
     }
     one = Poly.one("v")
-    return Poly.lincomb(
-        ((math.prod((psum[n] ** e for n, e in mono), start=one), c)
-         for mono, c in f.terms.items()),
-        "v",
+    return f._linear_image(
+        lambda mono: math.prod((psum[n] ** e for n, e in mono), start=one), "v"
     )

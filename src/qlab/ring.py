@@ -5,20 +5,34 @@ by odd positive integers (power sums p1, p3, p5, ...), graded by assigning
 weight n to the variable with index n.  The same representation carries the
 rescaled time variables x_n, the formal expansion variables y_n and the
 Hirota symbols D_n, plus the finite alphabets used by the brute-force
-oracle.  Coefficients are fractions.Fraction throughout; no floating point
-arithmetic occurs anywhere in this package.
+oracle.  No floating point arithmetic occurs anywhere in this package.
 
-Every value is immutable after construction: its term map is a read-only
-view, and every operation is a pure function, so values can be shared
-freely between threads or cached without copying.  Every sum of terms is
-formed by accumulate, the package's one sparse-accumulation kernel.
+Each value stores its rational coefficients as integer numerators over one
+shared denominator: a dict from monomial to nonzero int, and an int
+den > 0 with gcd(den, every numerator) = 1, den = 1 for zero.  That form
+is canonical, so equality is a plain comparison of the dict and den.
+Arithmetic does only int work.  A product multiplies the numerators and
+the two denominators; a sum or linear combination brings its inputs to
+the lcm of their denominators; each result is reduced once, by one gcd
+over all of its numerators.  The public terms map still reads as
+Fractions: it is a read-only view that decodes a coefficient when it is
+read and keeps no copy.  Code inside the package reads the integer form
+through the private methods of Poly (_lincomb, _linear_image,
+_scaled_terms, _filtered, _canonical_texts) or, where it divides
+numerators itself, the private slots _nums and _den.
+
+Every value is immutable after construction and every operation is a
+pure function, so values can be shared freely between threads or cached
+without copying.  Every sum of terms is formed by accumulate, the
+package's one sparse-accumulation kernel.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable
 
 Scalar = int | Fraction
 
@@ -35,10 +49,6 @@ FAMILY_LETTERS = {"p": "p", "x": "x", "y": "y", "D": "D", "v": "x"}
 # oracle's finite alphabet x_1..x_N and allows any positive index.
 ODD_FAMILIES = frozenset({"p", "x", "y", "D"})
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
 def _fr(value: Scalar) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
@@ -49,7 +59,7 @@ def _frozen(self, name, *value):
     raise AttributeError(f"{type(self).__name__} values are immutable")
 
 
-def accumulate(out: dict, items: Iterable[tuple[Hashable, Fraction]]) -> dict:
+def accumulate(out: dict, items: Iterable[tuple[Hashable, Scalar]]) -> dict:
     """Add every (key, coefficient) pair into out and return out.
 
     A key whose coefficients sum to zero is dropped, so out never stores a
@@ -116,34 +126,146 @@ def mono_text(mono: Mono, letter: str) -> str:
     )
 
 
+def _reduced(nums: dict, den: int) -> tuple[dict, int]:
+    """nums / den in lowest terms: one gcd over den and every numerator,
+    dividing nums in place.  den must be positive."""
+    if den != 1:
+        if not nums:
+            return nums, 1
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            for key, n in nums.items():
+                nums[key] = n // g
+    return nums, den
+
+
+def _widen(out: dict, den: int, d: int) -> int:
+    """Bring the numerators in out from den to the denominator lcm(den, d),
+    in place, and return that denominator."""
+    if den % d:
+        lcm = math.lcm(den, d)
+        k = lcm // den
+        for key, n in out.items():
+            out[key] = n * k
+        return lcm
+    return den
+
+
+def _combine(parts: Iterable[tuple[dict, int, Scalar]]) -> tuple[dict, int]:
+    """The sum of nums / d * c over (nums, d, c) parts, as numerators over
+    the lcm of the parts' denominators, not yet reduced."""
+    out: dict = {}
+    den = 1
+    for nums, d, c in parts:
+        if not c:
+            continue
+        d *= c.denominator
+        den = _widen(out, den, d)
+        s = den // d * c.numerator
+        if s != 1:
+            accumulate(out, ((key, n * s) for key, n in nums.items()))
+        elif out:
+            accumulate(out, nums.items())
+        else:
+            out = nums.copy()
+    return out, den
+
+
+def _encode(terms: Mapping | None) -> tuple[dict, int]:
+    """The integer form of a map to Scalars; zero coefficients are dropped.
+    Over the lcm of the reduced denominators the numerators are already
+    coprime to it, so no reduction is needed."""
+    coefs = [(key, _fr(c)) for key, c in terms.items()] if terms else []
+    den = math.lcm(*(c.denominator for _, c in coefs))
+    nums = accumulate({}, ((key, c.numerator * (den // c.denominator)) for key, c in coefs))
+    return nums, den if nums else 1
+
+
+def _ratio_text(n: int, den: int) -> str:
+    """str(Fraction(n, den)) for den > 0, without forming the Fraction."""
+    g = math.gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
+def _signed_sum(terms: Iterable[tuple[str, str]]) -> str:
+    """'a*m1 - b*m2 + ...' from (coefficient text, monomial text) pairs in
+    order; an empty monomial text prints the coefficient alone."""
+    pieces = []
+    for c, body in terms:
+        sign, mag = ("-", c[1:]) if c[0] == "-" else ("+", c)
+        pieces.append((sign, f"{mag}*{body}" if body else mag))
+    if not pieces:
+        return "0"
+    sign0, body0 = pieces[0]
+    head = body0 if sign0 == "+" else "-" + body0
+    return head + "".join(f" {s} {b}" for s, b in pieces[1:])
+
+
+class _Terms(Mapping):
+    """Read-only view of a value's coefficients as Fractions.  Each one is
+    decoded from the integer form when it is read; the view stores no copy."""
+
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums: dict, den: int):
+        self._nums = nums
+        self._den = den
+
+    def __getitem__(self, key) -> Fraction:
+        return Fraction(self._nums[key], self._den)
+
+    def __iter__(self):
+        return iter(self._nums)
+
+    def __len__(self) -> int:
+        return len(self._nums)
+
+    def __contains__(self, key) -> bool:
+        return key in self._nums
+
+    def __repr__(self) -> str:
+        return f"terms({dict(self.items())!r})"
+
+
 class Poly:
-    """A sparse polynomial: a map from monomials to nonzero Fractions.
+    """A sparse polynomial: nonzero rational coefficients on monomials.
 
     >>> f = 2 * Poly.variable(1) + Poly.variable(3) * Fraction(1, 3)
     >>> f.text()
     '2*p1 + 1/3*p3'
 
-    The zero polynomial is the empty map; zero coefficients are never
-    stored.  The term map is a read-only view: no method mutates self,
-    arithmetic always builds a new value.
+    The zero polynomial has no terms; zero coefficients are never stored.
+    The coefficients are integer numerators over one denominator (see the
+    module docstring), and terms reads them as Fractions.  No method
+    mutates self, arithmetic always builds a new value.
     """
 
-    __slots__ = ("terms", "family")
+    __slots__ = ("_nums", "_den", "family")
 
     def __init__(self, terms: Mapping[Mono, Scalar] | None = None, family: str = "p"):
-        items = ((m, _fr(c)) for m, c in terms.items()) if terms else ()
-        object.__setattr__(self, "terms", MappingProxyType(accumulate({}, items)))
+        nums, den = _encode(terms)
+        object.__setattr__(self, "_nums", nums)
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "family", family)
 
     @classmethod
-    def _make(cls, terms: dict[Mono, Fraction], family: str) -> "Poly":
-        """Wrap a dict of nonzero coefficients that nothing else holds."""
+    def _make(cls, nums: dict[Mono, int], family: str, den: int = 1) -> "Poly":
+        """Wrap a dict of nonzero integer numerators over den > 0 that
+        nothing else holds, reducing it to lowest terms in place."""
+        nums, den = _reduced(nums, den)
         obj = cls.__new__(cls)
-        object.__setattr__(obj, "terms", MappingProxyType(terms))
+        object.__setattr__(obj, "_nums", nums)
+        object.__setattr__(obj, "_den", den)
         object.__setattr__(obj, "family", family)
         return obj
 
     __setattr__ = __delattr__ = _frozen
+
+    @property
+    def terms(self) -> Mapping[Mono, Fraction]:
+        """The coefficients, as a read-only map from monomial to Fraction."""
+        return _Terms(self._nums, self._den)
 
     def __reduce__(self):
         return Poly, (dict(self.terms), self.family)
@@ -151,16 +273,42 @@ class Poly:
     @classmethod
     def lincomb(cls, pairs: Iterable[tuple["Poly", Scalar]], family: str = "p") -> "Poly":
         """The sum of f * c over (f, c) pairs, built in one term map."""
-        out: dict[Mono, Fraction] = {}
-        for f, c in pairs:
-            if f.family != family:
-                raise ValueError(f"mixed variable families {family!r} and {f.family!r}")
-            c = _fr(c)
-            if c == 1:
-                accumulate(out, f.terms.items())
-            elif c:
-                accumulate(out, ((m, v * c) for m, v in f.terms.items()))
-        return cls._make(out, family)
+        return cls._lincomb(pairs, family)
+
+    @classmethod
+    def _lincomb(cls, pairs: Iterable[tuple["Poly", Scalar]], family: str,
+                 den: int = 1) -> "Poly":
+        """lincomb divided by the positive integer den."""
+
+        def parts():
+            for f, c in pairs:
+                if f.family != family:
+                    raise ValueError(f"mixed variable families {family!r} and {f.family!r}")
+                yield f._nums, f._den, c
+
+        nums, d = _combine(parts())
+        return cls._make(nums, family, d * den)
+
+    def _linear_image(self, fn: Callable[[Mono], "Poly"], family: str) -> "Poly":
+        """The image of self under the linear map that sends each monomial
+        m to fn(m), a polynomial of the given family."""
+        return Poly._lincomb(((fn(m), n) for m, n in self._nums.items()), family, self._den)
+
+    def _scaled_terms(self, scale: Callable[[Mono], Scalar], family: str) -> "Poly":
+        """The polynomial of the given family whose coefficient on each
+        monomial m is this one's times scale(m), a nonzero scalar."""
+        factors = [(m, n, _fr(scale(m))) for m, n in self._nums.items()]
+        lcm = math.lcm(*(r.denominator for _, _, r in factors))
+        return Poly._make(
+            {m: n * r.numerator * (lcm // r.denominator) for m, n, r in factors},
+            family, self._den * lcm,
+        )
+
+    def _filtered(self, keep: Callable[[Mono], bool]) -> "Poly":
+        """The terms whose monomial satisfies keep."""
+        return Poly._make(
+            {m: n for m, n in self._nums.items() if keep(m)}, self.family, self._den
+        )
 
     @classmethod
     def zero(cls, family: str = "p") -> "Poly":
@@ -168,12 +316,11 @@ class Poly:
 
     @classmethod
     def one(cls, family: str = "p") -> "Poly":
-        return cls._make({EMPTY_MONO: _ONE}, family)
+        return cls._make({EMPTY_MONO: 1}, family)
 
     @classmethod
     def const(cls, value: Scalar, family: str = "p") -> "Poly":
-        v = _fr(value)
-        return cls._make({EMPTY_MONO: v} if v else {}, family)
+        return cls.from_mono(EMPTY_MONO, value, family)
 
     @classmethod
     def variable(cls, n: int, family: str = "p", exponent: int = 1) -> "Poly":
@@ -183,32 +330,32 @@ class Poly:
             raise ValueError(f"family {family!r} only has odd variable indices, got {n}")
         if exponent < 1:
             raise ValueError("exponent must be >= 1")
-        return cls._make({((n, exponent),): _ONE}, family)
+        return cls._make({((n, exponent),): 1}, family)
 
     @classmethod
     def from_mono(cls, mono: Mono, coef: Scalar = 1, family: str = "p") -> "Poly":
         c = _fr(coef)
-        return cls._make({mono: c} if c else {}, family)
+        return cls._make({mono: c.numerator} if c else {}, family, c.denominator)
 
     # ------------------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._nums)
 
     def _is_const(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and EMPTY_MONO in self.terms)
+        return not self._nums or (len(self._nums) == 1 and EMPTY_MONO in self._nums)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            o = _fr(other)
-            if not o:
-                return not self.terms
-            return self.terms == {EMPTY_MONO: o}
+            if not other:
+                return not self._nums
+            return (len(self._nums) == 1 and self._nums.get(EMPTY_MONO) == other.numerator
+                    and self._den == other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.terms != other.terms:
+        if self._den != other._den or self._nums != other._nums:
             return False
         return self.family == other.family or self._is_const()
 
@@ -223,38 +370,34 @@ class Poly:
             other = Poly.const(other, self.family)
         elif not isinstance(other, Poly):
             return NotImplemented
-        self._check_family(other)
-        return Poly._make(accumulate(self.terms.copy(), other.terms.items()), self.family)
+        return Poly._lincomb(((self, 1), (other, 1)), self.family)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._make({m: -c for m, c in self.terms.items()}, self.family)
+        return self * -1
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other, self.family)
         elif not isinstance(other, Poly):
             return NotImplemented
-        return self + (-other)
+        return Poly._lincomb(((self, 1), (other, -1)), self.family)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _fr(other)
-            if not c:
-                return Poly.zero(self.family)
-            return Poly._make({m: v * c for m, v in self.terms.items()}, self.family)
+            return Poly._lincomb(((self, other),), self.family)
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_family(other)
-        right = other.terms.items()
+        right = other._nums.items()
         out = accumulate({}, (
-            (mono_mul(m1, m2), c1 * c2) for m1, c1 in self.terms.items() for m2, c2 in right
+            (mono_mul(m1, m2), n1 * n2) for m1, n1 in self._nums.items() for m2, n2 in right
         ))
-        return Poly._make(out, self.family)
+        return Poly._make(out, self.family, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -283,74 +426,77 @@ class Poly:
         if n < 1 or (self.family in ODD_FAMILIES and n % 2 == 0):
             raise ValueError(f"cannot differentiate family {self.family!r} by index {n}")
         items = []
-        for mono, c in self.terms.items():
+        for mono, c in self._nums.items():
             for i, (idx, e) in enumerate(mono):
                 if idx == n:
                     lowered = ((idx, e - 1),) if e > 1 else ()
                     items.append((mono[:i] + lowered + mono[i + 1:], c * e))
                     break
-        return Poly._make(accumulate({}, items), self.family)
+        return Poly._make(accumulate({}, items), self.family, self._den)
 
     def weight(self) -> int:
         """Largest monomial weight present (0 for the zero polynomial)."""
-        return max((mono_weight(m) for m in self.terms), default=0)
+        return max((mono_weight(m) for m in self._nums), default=0)
 
     def degree(self) -> int:
-        return max((mono_degree(m) for m in self.terms), default=0)
+        return max((mono_degree(m) for m in self._nums), default=0)
 
     def weight_part(self, w: int) -> "Poly":
         """The homogeneous component of weight w."""
-        return Poly._make(
-            {m: c for m, c in self.terms.items() if mono_weight(m) == w}, self.family
-        )
+        return self._filtered(lambda m: mono_weight(m) == w)
 
     def truncate(self, w: int) -> "Poly":
         """Drop every monomial of weight greater than w."""
-        return Poly._make(
-            {m: c for m, c in self.terms.items() if mono_weight(m) <= w}, self.family
-        )
+        return self._filtered(lambda m: mono_weight(m) <= w)
 
     def subs_zero(self, n: int) -> "Poly":
         """Set the variable of index n to zero."""
-        return Poly._make(
-            {m: c for m, c in self.terms.items() if all(idx != n for idx, _ in m)},
-            self.family,
-        )
+        return self._filtered(lambda m: all(idx != n for idx, _ in m))
 
     def support_indices(self) -> set[int]:
-        return {idx for mono in self.terms for idx, _ in mono}
+        return {idx for mono in self._nums for idx, _ in mono}
 
     def coeff(self, mono: Mono) -> Fraction:
-        return self.terms.get(mono, _ZERO)
+        return Fraction(self._nums.get(mono, 0), self._den)
 
     def evaluate(self, values: Mapping[int, Scalar]) -> Fraction:
-        """Evaluate at a full assignment of rational values to variables."""
-        total = _ZERO
-        for mono, c in self.terms.items():
-            v = c
+        """Evaluate at a full assignment of rational values to variables.
+
+        The sum is formed in integers over one denominator: the product
+        of each variable's value denominator to the highest power any
+        monomial takes it."""
+        top: dict[int, int] = {}
+        for mono in self._nums:
             for n, e in mono:
                 if n not in values:
                     raise ValueError(f"no value supplied for variable index {n}")
-                v *= _fr(values[n]) ** e
-            total += v
-        return total
+                top[n] = max(top.get(n, 0), e)
+        vals = {n: _fr(values[n]) for n in top}
+        den = math.prod(vals[n].denominator ** e for n, e in top.items())
+        total = 0
+        for mono, num in self._nums.items():
+            d = 1
+            for n, e in mono:
+                num *= vals[n].numerator ** e
+                d *= vals[n].denominator ** e
+            total += num * (den // d)
+        return Fraction(total, den * self._den)
 
     # ------------------------------------------------------------------
     def canonical_terms(self) -> list[tuple[Mono, Fraction]]:
-        return [(m, self.terms[m]) for m in sorted(self.terms, key=mono_sort_key)]
+        terms = self.terms
+        return [(m, terms[m]) for m in sorted(self._nums, key=mono_sort_key)]
+
+    def _canonical_texts(self) -> list[tuple[Mono, str]]:
+        """canonical_terms with each coefficient as str() prints its
+        Fraction, formatted from the integer form."""
+        nums, den = self._nums, self._den
+        return [(m, _ratio_text(nums[m], den)) for m in sorted(nums, key=mono_sort_key)]
 
     def text(self, letter: str | None = None) -> str:
         """Canonical text form, e.g. '4/3*p1^3 - 4/3*p3'."""
-        if not self.terms:
-            return "0"
         letter = letter or FAMILY_LETTERS[self.family]
-        pieces: list[tuple[str, str]] = []
-        for mono, c in self.canonical_terms():
-            body = str(abs(c)) if not mono else f"{abs(c)}*{mono_text(mono, letter)}"
-            pieces.append(("-" if c < 0 else "+", body))
-        sign0, body0 = pieces[0]
-        head = body0 if sign0 == "+" else "-" + body0
-        return head + "".join(f" {s} {b}" for s, b in pieces[1:])
+        return _signed_sum((c, mono_text(m, letter)) for m, c in self._canonical_texts())
 
     def __str__(self) -> str:
         return self.text()
@@ -362,25 +508,35 @@ class Poly:
 class Tensor:
     """An element of the tensor square of the p-ring.
 
-    Terms map pairs (left monomial, right monomial) to Fractions, through
-    a read-only view.  Used by the neutral-fermion module for two-sided
-    operators.
+    Coefficients on pairs (left monomial, right monomial) are stored as
+    integer numerators over one denominator, like those of a Poly, and
+    terms reads them as Fractions.  Used by the neutral-fermion module for
+    two-sided operators.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, terms: Mapping[tuple[Mono, Mono], Scalar] | None = None):
-        items = ((k, _fr(c)) for k, c in terms.items()) if terms else ()
-        object.__setattr__(self, "terms", MappingProxyType(accumulate({}, items)))
+        nums, den = _encode(terms)
+        object.__setattr__(self, "_nums", nums)
+        object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _make(cls, terms: dict[tuple[Mono, Mono], Fraction]) -> "Tensor":
-        """Wrap a dict of nonzero coefficients that nothing else holds."""
+    def _make(cls, nums: dict[tuple[Mono, Mono], int], den: int = 1) -> "Tensor":
+        """Wrap a dict of nonzero integer numerators over den > 0 that
+        nothing else holds, reducing it to lowest terms in place."""
+        nums, den = _reduced(nums, den)
         obj = cls.__new__(cls)
-        object.__setattr__(obj, "terms", MappingProxyType(terms))
+        object.__setattr__(obj, "_nums", nums)
+        object.__setattr__(obj, "_den", den)
         return obj
 
     __setattr__ = __delattr__ = _frozen
+
+    @property
+    def terms(self) -> Mapping[tuple[Mono, Mono], Fraction]:
+        """The coefficients, as a read-only map from monomial pair to Fraction."""
+        return _Terms(self._nums, self._den)
 
     def __reduce__(self):
         return Tensor, (dict(self.terms),)
@@ -388,73 +544,68 @@ class Tensor:
     @classmethod
     def lincomb(cls, triples: Iterable[tuple[Poly, Poly, Scalar]]) -> "Tensor":
         """The sum of (f (x) g) * c over (f, g, c) triples, built in one
-        term map.  The scalar is folded into each left coefficient once."""
+        term map over the lcm of the triples' denominators.  The scale of
+        each triple is folded into each left numerator once."""
+        out: dict = {}
+        den = 1
+        for f, g, c in triples:
+            if not c:
+                continue
+            d = f._den * g._den * c.denominator
+            den = _widen(out, den, d)
+            s = den // d * c.numerator
+            left = f._nums.items() if s == 1 else [(m, n * s) for m, n in f._nums.items()]
+            right = g._nums.items()
+            accumulate(out, (((m1, m2), n1 * n2) for m1, n1 in left for m2, n2 in right))
+        return cls._make(out, den)
 
-        def items():
-            for f, g, c in triples:
-                c = _fr(c)
-                if not c:
-                    continue
-                right = g.terms.items()
-                for m1, c1 in f.terms.items():
-                    c1 *= c
-                    for m2, c2 in right:
-                        yield (m1, m2), c1 * c2
-
-        return cls._make(accumulate({}, items()))
+    def _combined(self, other: "Tensor", c: Scalar) -> "Tensor":
+        """self + other * c."""
+        return Tensor._make(*_combine(((self._nums, self._den, 1), (other._nums, other._den, c))))
 
     @classmethod
     def zero(cls) -> "Tensor":
         return cls._make({})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._nums)
 
     def __eq__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
-        return self.terms == other.terms
+        return self._den == other._den and self._nums == other._nums
 
     def __add__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
-        return Tensor._make(accumulate(self.terms.copy(), other.terms.items()))
+        return self._combined(other, 1)
 
     def __neg__(self):
-        return Tensor._make({k: -c for k, c in self.terms.items()})
+        return self * -1
 
     def __sub__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
-        return self + (-other)
+        return self._combined(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _fr(other)
-            if not c:
-                return Tensor.zero()
-            return Tensor._make({k: v * c for k, v in self.terms.items()})
+            return Tensor._make(*_combine(((self._nums, self._den, other),)))
         return NotImplemented
 
     __rmul__ = __mul__
 
     def text(self) -> str:
-        if not self.terms:
-            return "0"
-        keys = sorted(self.terms, key=lambda k: (mono_sort_key(k[0]), mono_sort_key(k[1])))
-        parts = []
-        for ml, mr in keys:
-            c = self.terms[(ml, mr)]
-            lt = mono_text(ml, "p") if ml else "1"
-            rt = mono_text(mr, "p") if mr else "1"
-            body = f"{abs(c)}*({lt} (x) {rt})"
-            parts.append(("-" if c < 0 else "+", body))
-        sign0, body0 = parts[0]
-        head = body0 if sign0 == "+" else "-" + body0
-        return head + "".join(f" {s} {b}" for s, b in parts[1:])
+        den = self._den
+        keys = sorted(self._nums, key=lambda k: (mono_sort_key(k[0]), mono_sort_key(k[1])))
+        return _signed_sum(
+            (_ratio_text(self._nums[(ml, mr)], den),
+             f"({mono_text(ml, 'p') if ml else '1'} (x) {mono_text(mr, 'p') if mr else '1'})")
+            for ml, mr in keys
+        )
 
     def __repr__(self) -> str:
         return f"Tensor({self.text()})"
@@ -474,11 +625,11 @@ def tensor_map(t: Tensor, side: str, fn: Callable[[Poly], Poly]) -> Tensor:
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     left = side == "left"
-    return Tensor._make(accumulate({}, (
-        ((m2, mr) if left else (ml, m2), c * c2)
+    return Tensor.lincomb(
+        (fn(Poly.from_mono(ml)) if left else Poly.from_mono(ml),
+         Poly.from_mono(mr) if left else fn(Poly.from_mono(mr)), c)
         for (ml, mr), c in t.terms.items()
-        for m2, c2 in fn(Poly.from_mono(ml if left else mr)).terms.items()
-    )))
+    )
 
 
 def graded_monomials(max_weight: int) -> list[Mono]:

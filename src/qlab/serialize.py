@@ -22,8 +22,8 @@ def poly_to_json_dict(f: Poly) -> dict:
     return {
         "vars": f.family,
         "terms": [
-            {"mono": {str(n): e for n, e in mono}, "coef": str(c)}
-            for mono, c in f.canonical_terms()
+            {"mono": {str(n): e for n, e in mono}, "coef": c}
+            for mono, c in f._canonical_texts()
         ],
     }
 
@@ -76,4 +76,4 @@ def poly_from_json_dict(data: dict) -> Poly:
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad rational {coef_text!r}") from None
         pairs.append((mono, coef))
-    return Poly._make(accumulate({}, pairs), family)
+    return Poly(accumulate({}, pairs), family)

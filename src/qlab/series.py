@@ -251,18 +251,22 @@ def schur_q_x_list(k: int) -> list:
     return out
 
 
+def elem_syms(vals: Iterable[Scalar], k: int) -> list[Fraction]:
+    """Elementary symmetric polynomials e_0..e_k of a finite value list,
+    from one pass; e_i is zero for i past the list's length."""
+    e = [_ONE] + [_ZERO] * k
+    for j, v in enumerate(map(Fraction, vals), start=1):
+        for i in range(min(k, j), 0, -1):
+            e[i] += v * e[i - 1]
+    return e
+
+
 def elem_sym(k: int, vals: Iterable[Scalar]) -> Fraction:
     """Elementary symmetric polynomial e_k of a finite value list."""
-    if k < 0:
+    vs = list(vals)
+    if not 0 <= k <= len(vs):
         return _ZERO
-    vs = [Fraction(v) for v in vals]
-    if k > len(vs):
-        return _ZERO
-    e = [_ONE] + [_ZERO] * k
-    for v in vs:
-        for i in range(min(k, len(e) - 1), 0, -1):
-            e[i] += v * e[i - 1]
-    return e[k]
+    return elem_syms(vs, k)[k]
 
 
 def complete_sym(k: int, vals: Iterable[Scalar]) -> Fraction:

@@ -251,3 +251,19 @@ def test_internal_error_exit_3(capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: RecursionError: ")
+
+
+def test_q_vector_with_negative_first_entry(capsys):
+    expected = run_cli(capsys, "q", "--", "-2,3,2")
+    assert expected == (0, "-8/3*p1^3 - 4/3*p3\n", "")
+    assert run_cli(capsys, "q", "-2,3,2") == expected
+    json_out = run_cli(capsys, "q", "--format", "json", "--", "-2,3,2")
+    assert run_cli(capsys, "q", "-2,3,2", "--format", "json") == json_out
+    assert run_cli(capsys, "q", "--format", "json", "-2,3,2") == json_out
+
+
+def test_qa_vector_with_negative_first_entry_is_rejected(capsys):
+    code, out, err = run_cli(capsys, "qa", "-3,2", "--params", "factorial")
+    assert code == 2
+    assert out == ""
+    assert err == "error: index vector must have positive entries: '-3,2'\n"

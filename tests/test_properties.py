@@ -4,14 +4,18 @@ Inputs are drawn by hypothesis with a fixed derandomized seed, so every
 run checks the same examples.
 """
 
+import copy
 import functools
+import math
 import operator
+import pickle
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlab import Poly, Tensor, hirota_apply, hirota_apply_taylor, tensor_of
+from qlab import Poly, Tensor, hirota_apply, hirota_apply_taylor, tensor_map, tensor_of
 from qlab.ring import accumulate
 
 deterministic = settings(derandomize=True, deadline=None, database=None)
@@ -121,3 +125,153 @@ def test_hirota_halved_sum_matches_taylor(p, f):
 def test_hirota_halved_sum_matches_full_sum(p, f):
     # An equal but separate object takes the full binomial sum.
     assert hirota_apply(p, f, f) == hirota_apply(p, f, Poly(dict(f.terms), "x"))
+
+
+# The integer form: every operation against a plain Fraction-dict
+# reference, and the canonical numerator/denominator invariant.
+
+wide_coefs = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+def wide_polys(family="p", max_terms=5):
+    return st.dictionaries(monos, wide_coefs, max_size=max_terms).map(
+        lambda terms: Poly(terms, family)
+    )
+
+
+def canonical(value) -> bool:
+    """den > 0, no zero numerator, gcd(den, numerators) = 1, den = 1 for zero."""
+    nums, den = value._nums, value._den
+    return (
+        type(den) is int and den > 0
+        and all(type(n) is int and n != 0 for n in nums.values())
+        and math.gcd(den, *nums.values()) == 1
+        and (bool(nums) or den == 1)
+    )
+
+
+def ref_mono_mul(a, b):
+    return tuple(sorted((Counter(dict(a)) + Counter(dict(b))).items()))
+
+
+def ref_sum(pairs):
+    """sum of c * terms over (terms, c), dropping zeros."""
+    out: dict = {}
+    for terms, c in pairs:
+        for key, v in terms.items():
+            out[key] = out.get(key, 0) + v * c
+    return {key: v for key, v in out.items() if v}
+
+
+def ref_mul(a, b):
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            key = ref_mono_mul(m1, m2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: v for key, v in out.items() if v}
+
+
+def ref_diff(a, n):
+    out = {}
+    for mono, c in a.items():
+        exps = dict(mono)
+        e = exps.get(n, 0)
+        if e:
+            exps[n] = e - 1
+            out[tuple(sorted((k, v) for k, v in exps.items() if v))] = c * e
+    return out
+
+
+def ref_tensor(f, g, c=1):
+    return ref_sum([({(m1, m2): c1 * c2 for m1, c1 in f.items() for m2, c2 in g.items()}, c)])
+
+
+@deterministic
+@given(wide_polys(), wide_polys(), wide_coefs)
+def test_poly_operations_match_fraction_reference(f, g, c):
+    a, b = dict(f.terms), dict(g.terms)
+    const = {(): Fraction(1, 3)}
+    cases = [
+        (f + g, ref_sum([(a, 1), (b, 1)])),
+        (f - g, ref_sum([(a, 1), (b, -1)])),
+        (-f, ref_sum([(a, -1)])),
+        (f * g, ref_mul(a, b)),
+        (f * c, ref_sum([(a, c)])),
+        (c * f, ref_sum([(a, c)])),
+        (f + Fraction(1, 3), ref_sum([(a, 1), (const, 1)])),
+        (f - Fraction(1, 3), ref_sum([(a, 1), (const, -1)])),
+        (f ** 2, ref_mul(a, a)),
+        (f.diff(1), ref_diff(a, 1)),
+        (f.diff(3), ref_diff(a, 3)),
+        (Poly.lincomb([(f, c), (g, Fraction(5, 7)), (f, -1)]),
+         ref_sum([(a, c), (b, Fraction(5, 7)), (a, -1)])),
+        (f.weight_part(3), {m: v for m, v in a.items() if sum(n * e for n, e in m) == 3}),
+        (f.truncate(4), {m: v for m, v in a.items() if sum(n * e for n, e in m) <= 4}),
+        (f.subs_zero(1), {m: v for m, v in a.items() if 1 not in dict(m)}),
+    ]
+    if c:
+        cases.append((f / c, ref_sum([(a, 1 / c)])))
+    for result, expect in cases:
+        assert dict(result.terms) == expect
+        assert canonical(result)
+        assert all(isinstance(v, Fraction) for v in result.terms.values())
+    point = {1: Fraction(1, 2), 3: Fraction(-2), 5: Fraction(3, 7)}
+    assert f.evaluate(point) == sum(
+        (v * math.prod(point[n] ** e for n, e in m) for m, v in a.items()), Fraction(0)
+    )
+    assert all(f.coeff(m) == v for m, v in a.items())
+
+
+@deterministic
+@given(wide_polys(max_terms=3), wide_polys(max_terms=3), wide_polys(max_terms=3), wide_coefs)
+def test_tensor_operations_match_fraction_reference(f, g, h, c):
+    a, b, d = dict(f.terms), dict(g.terms), dict(h.terms)
+    t, u = tensor_of(f, g), tensor_of(g, h)
+    cases = [
+        (t, ref_tensor(a, b)),
+        (t + u, ref_sum([(ref_tensor(a, b), 1), (ref_tensor(b, d), 1)])),
+        (t - u, ref_sum([(ref_tensor(a, b), 1), (ref_tensor(b, d), -1)])),
+        (-t, ref_tensor(a, b, -1)),
+        (t * c, ref_tensor(a, b, c)),
+        (Tensor.lincomb([(f, g, c), (g, h, Fraction(-3, 4)), (f, g, 1)]),
+         ref_sum([(ref_tensor(a, b), c), (ref_tensor(b, d), Fraction(-3, 4)),
+                  (ref_tensor(a, b), 1)])),
+        (tensor_map(t, "left", lambda p: p.diff(1)), ref_tensor(ref_diff(a, 1), b)),
+    ]
+    for result, expect in cases:
+        assert dict(result.terms) == expect
+        assert canonical(result)
+
+
+@deterministic
+@given(wide_polys(), wide_polys(max_terms=3), wide_coefs.filter(bool))
+def test_values_through_different_denominators_are_equal(f, g, c):
+    half = Fraction(1, 2)
+    for same in (
+        f * half + f * half,
+        (f * 3) / 3,
+        (f * c) / c,
+        Poly.lincomb([(f, Fraction(1, 6)), (f, Fraction(1, 3)), (f, half)]),
+        f + g * c - g * c,
+    ):
+        assert same == f
+        assert same.text() == f.text()
+        assert same.terms == f.terms
+        assert canonical(same)
+    t = tensor_of(f, g)
+    for same in (t * half + t * half, (t * c) * (1 / c), tensor_of(f * c, g * (1 / c))):
+        assert same == t
+        assert same.text() == t.text()
+        assert canonical(same)
+
+
+@deterministic
+@given(wide_polys(), wide_polys(max_terms=3), wide_coefs)
+def test_copy_and_pickle_keep_equality(f, g, c):
+    for value in (f, f * c, Poly.lincomb([(f, c)], "p"), tensor_of(f, g) * c):
+        for twin in (copy.copy(value), copy.deepcopy(value),
+                     pickle.loads(pickle.dumps(value))):
+            assert twin == value
+            assert twin.text() == value.text()
+            assert canonical(twin)
