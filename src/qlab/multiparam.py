@@ -50,14 +50,20 @@ def normalize_index(alpha: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return (sign, tuple(work))
 
 
-def _slot_coeffs(part: int, a: ParamSeq) -> list[tuple[int, Fraction]]:
-    es = elem_syms(a.prefix(part - 1), part - 1)
-    out = []
-    for lam in range(1, part + 1):
-        c = es[part - lam]
-        if c:
-            out.append((lam, c if (part - lam) % 2 == 0 else -c))
-    return out
+def _slot_coeffs(part: int, a: ParamSeq) -> tuple[tuple[int, Fraction], ...]:
+    """The (lambda, coefficient) pairs of one slot with a nonzero
+    coefficient.  a.prefix raises when a is too short."""
+    return _prefix_slot_coeffs(part, a.prefix(part - 1))
+
+
+@cache
+def _prefix_slot_coeffs(part: int, prefix: tuple) -> tuple[tuple[int, Fraction], ...]:
+    es = elem_syms(prefix, part - 1)
+    return tuple(
+        (lam, c if (part - lam) % 2 == 0 else -c)
+        for lam in range(1, part + 1)
+        if (c := es[part - lam])
+    )
 
 
 def multiparam_q(alpha: tuple[int, ...], a: ParamSeq) -> Poly:

@@ -16,13 +16,15 @@ with row_k(x) = x^lambda_k for the classical function and the falling
 product (x - a_0)...(x - a_{alpha_k - 1}) for the multiparameter one.  It
 is evaluated by two routes, each a cross-check of the other:
 
-- Symbolic (q_lambda_sym, qa_sym): every term is a rational function
-  whose denominator divides the full Vandermonde product, so the sum is
-  accumulated over that common denominator and divided exactly, one
-  linear factor at a time; a nonzero remainder would signal a bug and
-  raises.  The result is a polynomial in x_1..x_N.  The test suite
-  compares it with the power-sum image of the fermionic construction and
-  uses it for identities between polynomials (antisymmetry, vanishing).
+- Symbolic (q_lambda_sym, qa_sym): over the full Vandermonde product,
+  the numerator of every tuple's term is the same polynomial with its
+  variables relabeled and a sign (see _sym_sum).  That polynomial is
+  built once, its signed relabelings are summed, and the sum is divided
+  exactly by the Vandermonde product, one linear factor at a time; a
+  nonzero remainder would signal a bug and raises.  The result is a
+  polynomial in x_1..x_N.  The test suite compares it with the power-sum
+  image of the fermionic construction and uses it for identities between
+  polynomials (antisymmetry, vanishing).
 - Pointwise (q_sym_at, qa_sym_at): the sum is evaluated directly at a
   rational point.  Where two coordinates coincide the formula divides by
   zero, so the value F(x) is read off g(e) = F(x + e*v), v = (1, ..., N):
@@ -39,7 +41,7 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .ring import Poly, Scalar, accumulate, mono_mul
+from .ring import Poly, Scalar
 from .series import ParamSeq, schur_q_row
 
 MAX_VARS = 8
@@ -48,84 +50,37 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _mul_var_binomial(terms: dict, p: int, q: int, sgn: int) -> dict:
-    """terms * (x_p + sgn * x_q) as sparse dicts."""
-    up, uq = ((p, 1),), ((q, 1),)
-    return accumulate({}, (
-        item
-        for mono, c in terms.items()
-        for item in ((mono_mul(mono, up), c), (mono_mul(mono, uq), c if sgn > 0 else -c))
-    ))
+def _sym_sum(shifts: list[tuple[Fraction, ...]], n_vars: int) -> Poly:
+    """The symmetrization formula as a polynomial in x_1..x_N, where slot
+    k's row is the product of (x - s) over s in shifts[k].
 
-
-@cache
-def _pair_factor(n_vars: int, s: tuple[int, ...]) -> Poly:
-    """The common-denominator numerator factor for an ordered tuple s.
-
-    The product of all sum factors (x_{s_i} + x_j) over slot pairs and
-    slot-complement pairs, times the complement Vandermonde differences,
-    with the sign that corrects each original difference factor to the
-    index-increasing orientation used by the global Vandermonde product.
+    Let l = len(shifts), V = prod_{p<q} (x_p - x_q) and
+    G = prod_k row_k(x_k) * prod_{k<=l, k<j} (x_k + x_j) * prod_{l<i<j} (x_i - x_j),
+    with slots numbered from 1.  For the tuple t, let w send 1..l to t
+    and l+1..N, in order, to the other variables; then t's term is
+    sgn(w) w(G) / V.  So G is built once, its signed relabelings are
+    summed, and the sum is divided by V one linear factor at a time.
     """
-    comp = [c for c in range(1, n_vars + 1) if c not in s]
-    sums = [(a, b) for i, a in enumerate(s) for b in s[i + 1:] + tuple(comp)]
-    terms: dict = {(): (-1) ** sum(a > b for a, b in sums)}
-    for a, b in sums:
-        terms = _mul_var_binomial(terms, a, b, 1)
-    for a, b in itertools.combinations(comp, 2):
-        terms = _mul_var_binomial(terms, a, b, -1)
-    return Poly._make(terms, "v")
+    l = len(shifts)
+    if not l:
+        return Poly.one("v")
+    x = {i: Poly.variable(i, "v") for i in range(1, max(l, n_vars) + 1)}
+    g = math.prod(itertools.chain(
+        (x[k] - s for k, slot in enumerate(shifts, 1) for s in slot),
+        (x[k] + x[j] for k in range(1, l + 1) for j in range(k + 1, n_vars + 1)),
+        (x[i] - x[j] for i, j in itertools.combinations(range(l + 1, n_vars + 1), 2)),
+    ), start=Poly.one("v"))
 
+    def images():
+        for t in itertools.permutations(range(1, n_vars + 1), l):
+            w = t + tuple(c for c in range(1, n_vars + 1) if c not in t)
+            inversions = sum(a > b for a, b in itertools.combinations(w, 2))
+            yield g._renamed(dict(enumerate(w, 1))), (-1) ** inversions
 
-def _div_linear(terms: dict, p: int, q: int) -> dict:
-    """Exact division of a sparse polynomial by (x_p - x_q).
-
-    Writing terms = sum_d F_d x_p^d, the quotient's x_p^(d-1) slice is
-    G_(d-1) = F_d + x_q G_d, taken from the top degree down; the last
-    step F_0 + x_q G_0 is the remainder and must vanish.
-    """
-    slices: dict[int, list] = {}
-    for mono, c in terms.items():
-        d = next((e for n, e in mono if n == p), 0)
-        rest = tuple(t for t in mono if t[0] != p) if d else mono
-        slices.setdefault(d, []).append((rest, c))
-    uq = ((q, 1),)
-    out: dict = {}
-    g: dict = {}
-    for d in range(max(slices, default=0), -1, -1):
-        g = accumulate({mono_mul(m, uq): c for m, c in g.items()}, slices.get(d, ()))
-        if d:
-            up = ((p, d - 1),) if d > 1 else ()
-            accumulate(out, ((mono_mul(m, up), c) for m, c in g.items()))
-    if g:
-        raise ArithmeticError("division by Vandermonde factor left a remainder")
-    return out
-
-
-def _sym_sum(rows: list[list[Poly]], n_vars: int) -> Poly:
-    """2^l times the symmetrized sum over ordered injective tuples.
-
-    rows[i][s-1] is the polynomial placed in slot i when the tuple
-    assigns variable x_s to that slot.
-    """
-    l = len(rows)
-    one = Poly.one("v")
-    if l == 0:
-        return one
-
-    def terms():
-        for s in itertools.permutations(range(1, n_vars + 1), l):
-            slots = math.prod((row[v - 1] for row, v in zip(rows, s)), start=one)
-            yield slots * _pair_factor(n_vars, s), 1
-
-    total = Poly.lincomb(terms(), "v")
-    # Each division is monic, so it runs on the integer numerators and
-    # leaves their shared denominator as it is.
-    nums = total._nums
-    for p in range(1, n_vars + 1):
-        for q in range(p + 1, n_vars + 1):
-            nums = _div_linear(nums, p, q)
-    return Poly._make(nums, "v", total._den) * 2 ** l
+    total = Poly.lincomb(images(), "v")
+    for p, q in itertools.combinations(range(1, n_vars + 1), 2):
+        total = total._div_linear(p, q)
+    return total * 2 ** l
 
 
 def _sym_at(shifts: list[tuple[Fraction, ...]], xs: list[Fraction]) -> Fraction:
@@ -190,6 +145,11 @@ def _strict_parts(lam: tuple[int, ...]) -> tuple[int, ...]:
     return lam
 
 
+def _power_shifts(lam: tuple[int, ...]) -> list[tuple[Fraction, ...]]:
+    """x^m is the falling product with m zero shifts."""
+    return [(_ZERO,) * part for part in _strict_parts(lam)]
+
+
 def _falling_shifts(alpha: tuple[int, ...], a: ParamSeq) -> list[tuple[Fraction, ...]]:
     """(a_0, ..., a_{alpha_k - 1}) for each entry alpha_k."""
     alpha = tuple(int(v) for v in alpha)
@@ -203,9 +163,7 @@ def q_lambda_sym(lam: tuple[int, ...], n_vars: int) -> Poly:
     in x_1..x_N, built by symmetrizing x^lambda against the product of
     (x_i + x_j)/(x_i - x_j) factors."""
     _check_nvars(n_vars)
-    lam = _strict_parts(lam)
-    rows = [[Poly.variable(s, "v", part) for s in range(1, n_vars + 1)] for part in lam]
-    return _sym_sum(rows, n_vars)
+    return _sym_sum(_power_shifts(lam), n_vars)
 
 
 def qa_sym(alpha: tuple[int, ...], a: ParamSeq, n_vars: int) -> Poly:
@@ -216,21 +174,14 @@ def qa_sym(alpha: tuple[int, ...], a: ParamSeq, n_vars: int) -> Poly:
     in them) and must be nonnegative.
     """
     _check_nvars(n_vars)
-    one = Poly.one("v")
-    rows = [
-        [math.prod((Poly.variable(s, "v") - t for t in shifts), start=one)
-         for s in range(1, n_vars + 1)]
-        for shifts in _falling_shifts(alpha, a)
-    ]
-    return _sym_sum(rows, n_vars)
+    return _sym_sum(_falling_shifts(alpha, a), n_vars)
 
 
 def q_sym_at(lam: tuple[int, ...], xs: list[Scalar]) -> Fraction:
     """The value of q_lambda_sym(lam, len(xs)) at the point xs, computed
     from the symmetrization formula without building the polynomial."""
     _check_nvars(len(xs))
-    # x^m is the falling product with m zero shifts.
-    return _evaluate([(_ZERO,) * part for part in _strict_parts(lam)], xs)
+    return _evaluate(_power_shifts(lam), xs)
 
 
 def qa_sym_at(alpha: tuple[int, ...], a: ParamSeq, xs: list[Scalar]) -> Fraction:

@@ -17,9 +17,8 @@ the lcm of their denominators; each result is reduced once, by one gcd
 over all of its numerators.  The public terms map still reads as
 Fractions: it is a read-only view that decodes a coefficient when it is
 read and keeps no copy.  Code inside the package reads the integer form
-through the private methods of Poly (_lincomb, _linear_image,
-_scaled_terms, _filtered, _canonical_texts) or, where it divides
-numerators itself, the private slots _nums and _den.
+only through the private methods of Poly (_lincomb, _linear_image,
+_scaled_terms, _filtered, _renamed, _div_linear, _canonical_texts).
 
 Every value is immutable after construction and every operation is a
 pure function, so values can be shared freely between threads or cached
@@ -309,6 +308,41 @@ class Poly:
         return Poly._make(
             {m: n for m, n in self._nums.items() if keep(m)}, self.family, self._den
         )
+
+    def _renamed(self, perm: Mapping[int, int]) -> "Poly":
+        """Self with each variable index n replaced by perm[n].  perm must
+        be injective on the indices present, so monomials map one to one
+        and no coefficients combine."""
+        return Poly._make(
+            {tuple(sorted([(perm[n], e) for n, e in m])): c for m, c in self._nums.items()},
+            self.family, self._den,
+        )
+
+    def _div_linear(self, p: int, q: int) -> "Poly":
+        """The exact quotient of self by (x_p - x_q).
+
+        Writing self = sum_d F_d x_p^d, the quotient's x_p^(d-1) slice is
+        G_(d-1) = F_d + x_q G_d, taken from the top degree down; the last
+        step F_0 + x_q G_0 is the remainder, and a nonzero one raises.  The
+        divisor is monic, so the division runs on the numerators and keeps
+        the denominator.
+        """
+        slices: dict[int, list] = {}
+        for mono, c in self._nums.items():
+            d = next((e for n, e in mono if n == p), 0)
+            rest = tuple(t for t in mono if t[0] != p) if d else mono
+            slices.setdefault(d, []).append((rest, c))
+        uq = ((q, 1),)
+        out: dict = {}
+        g: dict = {}
+        for d in range(max(slices, default=0), -1, -1):
+            g = accumulate({mono_mul(m, uq): c for m, c in g.items()}, slices.get(d, ()))
+            if d:
+                up = ((p, d - 1),) if d > 1 else ()
+                accumulate(out, ((mono_mul(m, up), c) for m, c in g.items()))
+        if g:
+            raise ArithmeticError(f"division by x{p} - x{q} left a remainder")
+        return Poly._make(out, self.family, self._den)
 
     @classmethod
     def zero(cls, family: str = "p") -> "Poly":

@@ -39,7 +39,7 @@ def _parse_mono(data: dict) -> Mono:
             raise ValueError(f"bad variable index {key!r}") from None
         if n < 1:
             raise ValueError(f"variable index must be positive, got {n}")
-        if not isinstance(e, int) or e < 1:
+        if not isinstance(e, int) or isinstance(e, bool) or e < 1:
             raise ValueError(f"exponent for index {n} must be a positive integer")
         pairs.append((n, e))
     pairs.sort()

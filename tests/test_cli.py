@@ -243,6 +243,8 @@ def test_serialize_rejections():
     with pytest.raises(ValueError):
         poly_from_json_dict({"vars": "p", "terms": [{"mono": {"1": 1}, "coef": "x"}]})
     with pytest.raises(ValueError):
+        poly_from_json_dict({"vars": "p", "terms": [{"mono": {"1": True}, "coef": "2"}]})
+    with pytest.raises(ValueError):
         poly_to_json_dict(Poly.one("v"))
 
 

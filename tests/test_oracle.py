@@ -1,5 +1,6 @@
 """Tests for the brute-force symmetrization oracle and power-sum bridges."""
 
+import os
 import random
 from fractions import Fraction
 
@@ -62,6 +63,29 @@ def test_q_lambda_sym_stability():
         for n_vars in (3, 4, 5):
             wider = q_lambda_sym(lam, n_vars + 1).subs_zero(n_vars + 1)
             assert wider == q_lambda_sym(lam, n_vars)
+
+
+GOLDEN_SYM = os.path.join(os.path.dirname(__file__), "golden", "oracle_sym.txt")
+
+
+def symbolic_oracle_lines():
+    """One line per pinned input: q_lambda_sym for strict lambda with
+    |lambda| <= 5 at N = 4, and qa_sym at N = 3 for the factorial and
+    RANDOM_A families on the same lambdas and on unordered or repeated
+    index vectors."""
+    lines = [f"q_lambda_sym {lam} 4: {q_lambda_sym(lam, 4)}" for lam in strict_partitions(5)]
+    alphas = strict_partitions(5) + [(1, 2), (2, 2), (3, 1, 2), (0, 2)]
+    for name, a in [("factorial", ParamSeq.factorial(6)), ("random", RANDOM_A)]:
+        lines += [f"qa_sym {alpha} {name} 3: {qa_sym(alpha, a, 3)}" for alpha in alphas]
+    return lines
+
+
+def test_symbolic_oracle_matches_golden():
+    """To regenerate after a deliberate output change, write
+    symbolic_oracle_lines() one per line to tests/golden/oracle_sym.txt
+    and record the change in CHANGES.md."""
+    with open(GOLDEN_SYM, encoding="utf-8") as fh:
+        assert symbolic_oracle_lines() == fh.read().splitlines()
 
 
 def test_qa_sym_examples():

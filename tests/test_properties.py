@@ -6,16 +6,27 @@ run checks the same examples.
 
 import copy
 import functools
+import json
 import math
 import operator
 import pickle
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlab import Poly, Tensor, hirota_apply, hirota_apply_taylor, tensor_map, tensor_of
+from qlab import (
+    Poly,
+    Tensor,
+    hirota_apply,
+    hirota_apply_taylor,
+    poly_from_json_dict,
+    poly_to_json_dict,
+    tensor_map,
+    tensor_of,
+)
 from qlab.ring import accumulate
 
 deterministic = settings(derandomize=True, deadline=None, database=None)
@@ -275,3 +286,30 @@ def test_copy_and_pickle_keep_equality(f, g, c):
             assert twin == value
             assert twin.text() == value.text()
             assert canonical(twin)
+
+
+@deterministic
+@given(st.sampled_from(["p", "x", "y", "D"]).flatmap(wide_polys))
+def test_json_round_trip(f):
+    text = json.dumps(poly_to_json_dict(f))
+    back = poly_from_json_dict(json.loads(text))
+    assert back == f
+    assert back.family == f.family
+    assert json.dumps(poly_to_json_dict(back)) == text
+
+
+@deterministic
+@given(wide_polys("v"), st.sampled_from([(1, 3), (3, 1), (2, 5)]))
+def test_rename_and_linear_division_invert(f, pq):
+    p, q = pq
+    swap = {1: 5, 3: 3, 5: 1}
+    assert f._renamed(swap)._renamed(swap) == f
+    assert dict(f._renamed(swap).terms) == {
+        tuple(sorted((swap[n], e) for n, e in m)): c for m, c in f.terms.items()
+    }
+    multiple = f * (Poly.variable(p, "v") - Poly.variable(q, "v"))
+    quotient = multiple._div_linear(p, q)
+    assert quotient == f
+    assert canonical(quotient)
+    with pytest.raises(ArithmeticError):
+        (multiple + 1)._div_linear(p, q)
