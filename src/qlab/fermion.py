@@ -25,7 +25,7 @@ import itertools
 from fractions import Fraction
 from functools import cache
 
-from .ring import Mono, Poly, Tensor
+from .ring import LazyMap, Mono, Poly, Tensor
 from .series import schur_q_row
 
 
@@ -85,18 +85,6 @@ def _q_lambda(vec: tuple[int, ...]) -> Poly:
     return apply_phi(vec[0], _q_lambda(vec[1:])) if vec else Poly.one()
 
 
-class _PhiImages(dict):
-    """The map m -> phi_m h, each image formed once, at its first lookup."""
-
-    def __init__(self, h: Poly):
-        super().__init__()
-        self.h = h
-
-    def __missing__(self, m: int) -> Poly:
-        self[m] = value = apply_phi(m, self.h)
-        return value
-
-
 def _omega_triples(f: Poly, g: Poly, c=1, widen: int = 0):
     """The nonzero terms (phi_n f, phi_{-n} g, (-1)^n c) of
     c * sum_n (-1)^n phi_n f (x) phi_{-n} g, over the range of n that
@@ -111,8 +99,8 @@ def _omega_triples(f: Poly, g: Poly, c=1, widen: int = 0):
     phi_m f and phi_m g is formed at most once per call, and when g is f
     both sides read one map.
     """
-    phi_f = _PhiImages(f)
-    phi_g = phi_f if g is f else _PhiImages(g)
+    phi_f = LazyMap(lambda _, m: apply_phi(m, f))
+    phi_g = phi_f if g is f else LazyMap(lambda _, m: apply_phi(m, g))
     for n in range(-f.weight() - widen, g.weight() + widen + 1):
         if n > 0:
             right = phi_g[-n]

@@ -34,6 +34,7 @@ from functools import cache
 
 from .ring import (
     EMPTY_MONO,
+    LazyMap,
     Mono,
     Poly,
     accumulate,
@@ -66,22 +67,15 @@ def _rescale(f: Poly, family: str, factor) -> Poly:
     return f._scaled_terms(lambda m: math.prod((factor(n) ** e for n, e in m), start=1), family)
 
 
-class _Derivatives(dict):
-    """The map from a derivative monomial alpha to d^alpha f, each
-    derivative formed once, from its parent, at its first lookup."""
-
-    def __init__(self, f: Poly):
-        super().__init__({EMPTY_MONO: f})
-
-    def __missing__(self, alpha: Mono) -> Poly:
-        n, e = alpha[-1]
-        parent = alpha[:-1] if e == 1 else alpha[:-1] + ((n, e - 1),)
-        self[alpha] = value = self[parent].diff(n)
-        return value
+def _derivative(derivatives: LazyMap, alpha: Mono) -> Poly:
+    """d^alpha f, formed from its parent in the map of derivatives of f."""
+    n, e = alpha[-1]
+    parent = alpha[:-1] if e == 1 else alpha[:-1] + ((n, e - 1),)
+    return derivatives[parent].diff(n)
 
 
-def _hirota_values(f: Poly, g: Poly):
-    """The map gamma -> D^gamma f.g, memoized for as long as the map is held.
+def _hirota_values(f: Poly, g: Poly) -> LazyMap:
+    """The map gamma -> D^gamma f.g, each value formed at its first lookup.
 
     D^gamma f.g is the signed binomial sum over derivative splittings
     alpha + beta = gamma of (-1)^|beta| binom(gamma, alpha) d^alpha f d^beta g.
@@ -90,11 +84,10 @@ def _hirota_values(f: Poly, g: Poly):
     (beta, alpha) give equal terms, so only alpha <= beta (as exponent
     tuples) is summed, with the terms alpha < beta doubled.
     """
-    df = _Derivatives(f)
-    dg = df if g is f else _Derivatives(g)
+    df = LazyMap(_derivative, {EMPTY_MONO: f})
+    dg = df if g is f else LazyMap(_derivative, {EMPTY_MONO: g})
 
-    @cache
-    def value(gamma: Mono) -> Poly:
+    def value(_map: LazyMap, gamma: Mono) -> Poly:
         exps = [e for _, e in gamma]
         if g is f and sum(exps) % 2:
             return Poly.zero("x")
@@ -110,12 +103,7 @@ def _hirota_values(f: Poly, g: Poly):
                 items.append((lf * rg, 2 * c if g is f and alphas < betas else c))
         return Poly.lincomb(items, "x")
 
-    return value
-
-
-def _apply(p: Poly, values) -> Poly:
-    """P(D) f.g as the sum of c_gamma D^gamma f.g over the terms of P."""
-    return p._linear_image(values, "x")
+    return LazyMap(value)
 
 
 def hirota_apply(p: Poly, f: Poly, g: Poly) -> Poly:
@@ -124,7 +112,7 @@ def hirota_apply(p: Poly, f: Poly, g: Poly) -> Poly:
         raise ValueError("expected a Hirota symbol polynomial")
     if f.family != "x" or g.family != "x":
         raise ValueError("expected rescaled-time polynomials")
-    return _apply(p, _hirota_values(f, g))
+    return p._linear_image(_hirota_values(f, g).__getitem__, "x")
 
 
 def _doubled(f: Poly, sgn: int) -> dict[tuple[Mono, Mono], Fraction]:
@@ -281,7 +269,7 @@ def bkp_check(f: Poly, max_weight: int) -> HierarchyReport:
         if not p:
             report.trivial.append(name)
             continue
-        residual = _apply(p, values)
+        residual = p._linear_image(values.__getitem__, "x")
         report.checked += 1
         if residual:
             report.failures[name] = residual

@@ -29,25 +29,24 @@ from .ring import Poly
 from .series import ParamSeq, elem_syms, shifted_transition
 
 
+def _positive(alpha: tuple[int, ...]) -> tuple[int, ...]:
+    vec = tuple(int(v) for v in alpha)
+    if any(v <= 0 for v in vec):
+        raise ValueError("entries must be positive integers")
+    return vec
+
+
 def normalize_index(alpha: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """Sort a positive integer vector into a strict partition.
 
     Returns (sign, sorted_desc) where sign is the signature of the
     sorting permutation, or (0, ()) when entries repeat.
     """
-    vec = tuple(int(v) for v in alpha)
-    if any(v <= 0 for v in vec):
-        raise ValueError("entries must be positive integers")
+    vec = _positive(alpha)
     if len(set(vec)) != len(vec):
         return (0, ())
-    sign = 1
-    work = list(vec)
-    for i in range(len(work)):
-        big = max(range(i, len(work)), key=lambda t: work[t])
-        if big != i:
-            work[i], work[big] = work[big], work[i]
-            sign = -sign
-    return (sign, tuple(work))
+    inversions = sum(a < b for a, b in itertools.combinations(vec, 2))
+    return (-1 if inversions % 2 else 1, tuple(sorted(vec, reverse=True)))
 
 
 def _slot_coeffs(part: int, a: ParamSeq) -> tuple[tuple[int, Fraction], ...]:
@@ -73,15 +72,11 @@ def multiparam_q(alpha: tuple[int, ...], a: ParamSeq) -> Poly:
     functions; antisymmetry in the entries and vanishing on repeated
     entries are consequences, not special cases.
     """
-    vec = tuple(int(v) for v in alpha)
-    if any(v <= 0 for v in vec):
-        raise ValueError("entries must be positive integers")
-    return _multiparam_q(vec, a.values)
+    return _multiparam_q(_positive(alpha), a)
 
 
 @cache
-def _multiparam_q(vec: tuple[int, ...], values: tuple[Fraction, ...]) -> Poly:
-    a = ParamSeq(values)
+def _multiparam_q(vec: tuple[int, ...], a: ParamSeq) -> Poly:
     slot_lists = [_slot_coeffs(part, a) for part in vec]
     return Poly.lincomb(
         (q_lambda(tuple(lam for lam, _ in combo)), math.prod(c for _, c in combo))
@@ -93,11 +88,8 @@ def multiparam_q_via_fermions(alpha: tuple[int, ...], a: ParamSeq) -> Poly:
     """The same function built by operator application: slot m applies
     X_m = sum_{s=1..m} (-1)^(s-m) e_{m-s}(a_1..a_{m-1}) phi_s,
     composed with the first entry acting last."""
-    vec = tuple(int(v) for v in alpha)
-    if any(v <= 0 for v in vec):
-        raise ValueError("entries must be positive integers")
     f = Poly.one()
-    for part in reversed(vec):
+    for part in reversed(_positive(alpha)):
         f = Poly.lincomb([(apply_phi(s, f), c) for s, c in _slot_coeffs(part, a)])
     return f
 

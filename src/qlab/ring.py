@@ -8,22 +8,26 @@ Hirota symbols D_n, plus the finite alphabets used by the brute-force
 oracle.  No floating point arithmetic occurs anywhere in this package.
 
 Each value stores its rational coefficients as integer numerators over one
-shared denominator: a dict from monomial to nonzero int, and an int
-den > 0 with gcd(den, every numerator) = 1, den = 1 for zero.  That form
-is canonical, so equality is a plain comparison of the dict and den.
+shared denominator: a dict from key to nonzero int, and an int den > 0
+with gcd(den, every numerator) = 1, den = 1 for zero.  That form is
+canonical, so equality is a plain comparison of the dict and den.
 Arithmetic does only int work.  A product multiplies the numerators and
-the two denominators; a sum or linear combination brings its inputs to
-the lcm of their denominators; each result is reduced once, by one gcd
-over all of its numerators.  The public terms map still reads as
-Fractions: it is a read-only view that decodes a coefficient when it is
-read and keeps no copy.  Code inside the package reads the integer form
-only through the private methods of Poly (_lincomb, _linear_image,
-_scaled_terms, _filtered, _renamed, _div_linear, _canonical_texts).
+the two denominators; a sum or linear combination goes through _combine,
+the one loop that brings terms to the lcm of their denominators; each
+result is reduced once, by one gcd over all of its numerators.  The
+public terms map still reads as Fractions: it is a read-only view that
+decodes a coefficient when it is read and keeps no copy.  The integer
+form lives in one private base class, _IntegerForm, which knows nothing
+of what a key means; Poly keys are monomials and Tensor keys are pairs of
+monomials.  Code outside this module reads the integer form only through
+the private methods of Poly (_lincomb, _linear_image, _scaled_terms,
+_filtered, _renamed, _div_linear, _canonical_texts).
 
 Every value is immutable after construction and every operation is a
 pure function, so values can be shared freely between threads or cached
 without copying.  Every sum of terms is formed by accumulate, the
-package's one sparse-accumulation kernel.
+package's one sparse-accumulation kernel.  check_mono is the one test of
+what a monomial is, and LazyMap the package's one map filled on lookup.
 """
 
 from __future__ import annotations
@@ -35,8 +39,9 @@ from typing import Callable, Hashable, Iterable
 
 Scalar = int | Fraction
 
-# A monomial is a tuple of (index, exponent) pairs, sorted by index,
-# with every exponent >= 1.  The empty tuple is the constant monomial.
+# A monomial is a tuple of (index, exponent) pairs with strictly increasing
+# indices and every exponent >= 1 (check_mono).  The empty tuple is the
+# constant monomial.
 Mono = tuple[tuple[int, int], ...]
 
 EMPTY_MONO: Mono = ()
@@ -75,6 +80,48 @@ def accumulate(out: dict, items: Iterable[tuple[Hashable, Scalar]]) -> dict:
         elif s is not None:
             del out[key]
     return out
+
+
+class LazyMap(dict):
+    """A dict that forms the value of a missing key as make(self, key) at
+    its first lookup and keeps it.  make is handed the map, so a rule that
+    reads other keys of it, such as a derivative formed from its parent,
+    needs no reference of its own to the map and forms no cycle."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[["LazyMap", Hashable], object], *args):
+        super().__init__(*args)
+        self.make = make
+
+    def __missing__(self, key):
+        self[key] = value = self.make(self, key)
+        return value
+
+
+def check_mono(mono, family: str = "p") -> Mono:
+    """Return mono if it is a monomial of the family, else raise ValueError.
+
+    A monomial is a tuple of (index, exponent) int pairs with strictly
+    increasing indices >= 1 and exponents >= 1; in ODD_FAMILIES every
+    index is odd.
+    """
+    if not (isinstance(mono, tuple) and all(
+            isinstance(pair, tuple) and len(pair) == 2 and all(isinstance(v, int) for v in pair)
+            for pair in mono)):
+        raise ValueError(f"a monomial is a tuple of (index, exponent) int pairs, got {mono!r}")
+    last = 0
+    for n, e in mono:
+        if n < 1:
+            raise ValueError(f"variable index must be positive, got {n}")
+        if n <= last:
+            raise ValueError(f"monomial indices must strictly increase, got {mono!r}")
+        if family in ODD_FAMILIES and n % 2 == 0:
+            raise ValueError(f"family {family!r} only has odd variable indices, got {n}")
+        if e < 1:
+            raise ValueError(f"exponent of variable {n} must be positive, got {e}")
+        last = n
+    return mono
 
 
 def mono_weight(mono: Mono) -> int:
@@ -125,49 +172,29 @@ def mono_text(mono: Mono, letter: str) -> str:
     )
 
 
-def _reduced(nums: dict, den: int) -> tuple[dict, int]:
-    """nums / den in lowest terms: one gcd over den and every numerator,
-    dividing nums in place.  den must be positive."""
-    if den != 1:
-        if not nums:
-            return nums, 1
-        g = math.gcd(den, *nums.values())
-        if g != 1:
-            den //= g
-            for key, n in nums.items():
-                nums[key] = n // g
-    return nums, den
+def _combine(parts: Iterable[tuple["_IntegerForm | _Outer", Scalar]]) -> tuple[dict, int]:
+    """The sum of value * c over (value, c) parts, as numerators over the
+    lcm of the values' denominators, not yet reduced.
 
-
-def _widen(out: dict, den: int, d: int) -> int:
-    """Bring the numerators in out from den to the denominator lcm(den, d),
-    in place, and return that denominator."""
-    if den % d:
-        lcm = math.lcm(den, d)
-        k = lcm // den
-        for key, n in out.items():
-            out[key] = n * k
-        return lcm
-    return den
-
-
-def _combine(parts: Iterable[tuple[dict, int, Scalar]]) -> tuple[dict, int]:
-    """The sum of nums / d * c over (nums, d, c) parts, as numerators over
-    the lcm of the parts' denominators, not yet reduced."""
+    A value has its denominator in _den, and _add_to(out, s) adds its
+    numerators times a nonzero int s into out.  A part with c = 0 is
+    skipped unread.  When a part brings a new denominator, the numerators
+    summed so far are widened to the lcm in place, so the parts are
+    consumed lazily.
+    """
     out: dict = {}
     den = 1
-    for nums, d, c in parts:
+    for value, c in parts:
         if not c:
             continue
-        d *= c.denominator
-        den = _widen(out, den, d)
-        s = den // d * c.numerator
-        if s != 1:
-            accumulate(out, ((key, n * s) for key, n in nums.items()))
-        elif out:
-            accumulate(out, nums.items())
-        else:
-            out = nums.copy()
+        d = value._den * c.denominator
+        if den % d:
+            lcm = math.lcm(den, d)
+            k = lcm // den
+            for key, n in out.items():
+                out[key] = n * k
+            den = lcm
+        out = value._add_to(out, den // d * c.numerator)
     return out, den
 
 
@@ -227,7 +254,76 @@ class _Terms(Mapping):
         return f"terms({dict(self.items())!r})"
 
 
-class Poly:
+class _IntegerForm:
+    """A value in the integer form of the module docstring: a dict from key
+    to nonzero int numerator, and one shared denominator.  Nothing here
+    depends on what a key means.
+
+    A subclass lists its own slots in __slots__; the constructors fill
+    them, in that order, from their trailing arguments, and pickling passes
+    them back to the subclass's constructor after the terms.
+    """
+
+    __slots__ = ("_nums", "_den")
+
+    def __new__(cls, terms: Mapping | None = None, *slots):
+        return cls._make(*_encode(terms), *slots)
+
+    @classmethod
+    def _make(cls, nums: dict, den: int = 1, *slots):
+        """Wrap a dict of nonzero integer numerators over den > 0 that
+        nothing else holds, reducing it to lowest terms in place: one gcd
+        over den and every numerator."""
+        if den != 1:
+            if not nums:
+                den = 1
+            elif (g := math.gcd(den, *nums.values())) != 1:
+                den //= g
+                for key, n in nums.items():
+                    nums[key] = n // g
+        obj = object.__new__(cls)
+        setattr_ = object.__setattr__
+        setattr_(obj, "_nums", nums)
+        setattr_(obj, "_den", den)
+        for name, value in zip(cls.__slots__, slots):
+            setattr_(obj, name, value)
+        return obj
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __reduce__(self):
+        cls = type(self)
+        return cls, (dict(self.terms), *(getattr(self, name) for name in cls.__slots__))
+
+    @property
+    def terms(self) -> Mapping[Hashable, Fraction]:
+        """The coefficients, as a read-only map from key to Fraction."""
+        return _Terms(self._nums, self._den)
+
+    def _add_to(self, out: dict, s: int) -> dict:
+        """out plus the numerators times s, a nonzero int, for _combine;
+        an empty out is replaced by a copy."""
+        nums = self._nums
+        if s != 1:
+            return accumulate(out, ((key, n * s) for key, n in nums.items()))
+        return accumulate(out, nums.items()) if out else nums.copy()
+
+    def is_zero(self) -> bool:
+        return not self._nums
+
+    def __bool__(self) -> bool:
+        return bool(self._nums)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._den == other._den and self._nums == other._nums
+
+    def __neg__(self):
+        return self * -1
+
+
+class Poly(_IntegerForm):
     """A sparse polynomial: nonzero rational coefficients on monomials.
 
     >>> f = 2 * Poly.variable(1) + Poly.variable(3) * Fraction(1, 3)
@@ -240,34 +336,12 @@ class Poly:
     mutates self, arithmetic always builds a new value.
     """
 
-    __slots__ = ("_nums", "_den", "family")
+    __slots__ = ("family",)
 
-    def __init__(self, terms: Mapping[Mono, Scalar] | None = None, family: str = "p"):
-        nums, den = _encode(terms)
-        object.__setattr__(self, "_nums", nums)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "family", family)
-
-    @classmethod
-    def _make(cls, nums: dict[Mono, int], family: str, den: int = 1) -> "Poly":
-        """Wrap a dict of nonzero integer numerators over den > 0 that
-        nothing else holds, reducing it to lowest terms in place."""
-        nums, den = _reduced(nums, den)
-        obj = cls.__new__(cls)
-        object.__setattr__(obj, "_nums", nums)
-        object.__setattr__(obj, "_den", den)
-        object.__setattr__(obj, "family", family)
-        return obj
-
-    __setattr__ = __delattr__ = _frozen
-
-    @property
-    def terms(self) -> Mapping[Mono, Fraction]:
-        """The coefficients, as a read-only map from monomial to Fraction."""
-        return _Terms(self._nums, self._den)
-
-    def __reduce__(self):
-        return Poly, (dict(self.terms), self.family)
+    def __new__(cls, terms: Mapping[Mono, Scalar] | None = None, family: str = "p"):
+        for mono in terms or ():
+            check_mono(mono, family)
+        return super().__new__(cls, terms, family)
 
     @classmethod
     def lincomb(cls, pairs: Iterable[tuple["Poly", Scalar]], family: str = "p") -> "Poly":
@@ -283,10 +357,10 @@ class Poly:
             for f, c in pairs:
                 if f.family != family:
                     raise ValueError(f"mixed variable families {family!r} and {f.family!r}")
-                yield f._nums, f._den, c
+                yield f, c
 
         nums, d = _combine(parts())
-        return cls._make(nums, family, d * den)
+        return cls._make(nums, d * den, family)
 
     def _linear_image(self, fn: Callable[[Mono], "Poly"], family: str) -> "Poly":
         """The image of self under the linear map that sends each monomial
@@ -300,13 +374,13 @@ class Poly:
         lcm = math.lcm(*(r.denominator for _, _, r in factors))
         return Poly._make(
             {m: n * r.numerator * (lcm // r.denominator) for m, n, r in factors},
-            family, self._den * lcm,
+            self._den * lcm, family,
         )
 
     def _filtered(self, keep: Callable[[Mono], bool]) -> "Poly":
         """The terms whose monomial satisfies keep."""
         return Poly._make(
-            {m: n for m, n in self._nums.items() if keep(m)}, self.family, self._den
+            {m: n for m, n in self._nums.items() if keep(m)}, self._den, self.family
         )
 
     def _renamed(self, perm: Mapping[int, int]) -> "Poly":
@@ -315,7 +389,7 @@ class Poly:
         and no coefficients combine."""
         return Poly._make(
             {tuple(sorted([(perm[n], e) for n, e in m])): c for m, c in self._nums.items()},
-            self.family, self._den,
+            self._den, self.family,
         )
 
     def _div_linear(self, p: int, q: int) -> "Poly":
@@ -342,15 +416,15 @@ class Poly:
                 accumulate(out, ((mono_mul(m, up), c) for m, c in g.items()))
         if g:
             raise ArithmeticError(f"division by x{p} - x{q} left a remainder")
-        return Poly._make(out, self.family, self._den)
+        return Poly._make(out, self._den, self.family)
 
     @classmethod
     def zero(cls, family: str = "p") -> "Poly":
-        return cls._make({}, family)
+        return cls._make({}, 1, family)
 
     @classmethod
     def one(cls, family: str = "p") -> "Poly":
-        return cls._make({EMPTY_MONO: 1}, family)
+        return cls._make({EMPTY_MONO: 1}, 1, family)
 
     @classmethod
     def const(cls, value: Scalar, family: str = "p") -> "Poly":
@@ -358,26 +432,15 @@ class Poly:
 
     @classmethod
     def variable(cls, n: int, family: str = "p", exponent: int = 1) -> "Poly":
-        if n < 1:
-            raise ValueError(f"variable index must be positive, got {n}")
-        if family in ODD_FAMILIES and n % 2 == 0:
-            raise ValueError(f"family {family!r} only has odd variable indices, got {n}")
-        if exponent < 1:
-            raise ValueError("exponent must be >= 1")
-        return cls._make({((n, exponent),): 1}, family)
+        return cls._make({check_mono(((n, exponent),), family): 1}, 1, family)
 
     @classmethod
     def from_mono(cls, mono: Mono, coef: Scalar = 1, family: str = "p") -> "Poly":
+        check_mono(mono, family)
         c = _fr(coef)
-        return cls._make({mono: c.numerator} if c else {}, family, c.denominator)
+        return cls._make({mono: c.numerator} if c else {}, c.denominator, family)
 
     # ------------------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self._nums
-
-    def __bool__(self) -> bool:
-        return bool(self._nums)
-
     def _is_const(self) -> bool:
         return not self._nums or (len(self._nums) == 1 and EMPTY_MONO in self._nums)
 
@@ -387,10 +450,9 @@ class Poly:
                 return not self._nums
             return (len(self._nums) == 1 and self._nums.get(EMPTY_MONO) == other.numerator
                     and self._den == other.denominator)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        if self._den != other._den or self._nums != other._nums:
-            return False
+        equal = super().__eq__(other)
+        if equal is not True:
+            return equal
         return self.family == other.family or self._is_const()
 
     def _check_family(self, other: "Poly") -> None:
@@ -407,9 +469,6 @@ class Poly:
         return Poly._lincomb(((self, 1), (other, 1)), self.family)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return self * -1
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -431,7 +490,7 @@ class Poly:
         out = accumulate({}, (
             (mono_mul(m1, m2), n1 * n2) for m1, n1 in self._nums.items() for m2, n2 in right
         ))
-        return Poly._make(out, self.family, self._den * other._den)
+        return Poly._make(out, self._den * other._den, self.family)
 
     __rmul__ = __mul__
 
@@ -466,7 +525,7 @@ class Poly:
                     lowered = ((idx, e - 1),) if e > 1 else ()
                     items.append((mono[:i] + lowered + mono[i + 1:], c * e))
                     break
-        return Poly._make(accumulate({}, items), self.family, self._den)
+        return Poly._make(accumulate({}, items), self._den, self.family)
 
     def weight(self) -> int:
         """Largest monomial weight present (0 for the zero polynomial)."""
@@ -539,7 +598,24 @@ class Poly:
         return f"Poly[{self.family}]({self.text()})"
 
 
-class Tensor:
+class _Outer:
+    """The tensor f (x) g as a part for _combine, expanded as it is read;
+    the scale is folded into the left numerators once."""
+
+    __slots__ = ("_den", "f", "g")
+
+    def __init__(self, f: Poly, g: Poly):
+        self._den, self.f, self.g = f._den * g._den, f, g
+
+    def _add_to(self, out: dict, s: int) -> dict:
+        left = self.f._nums.items()
+        if s != 1:
+            left = [(m, n * s) for m, n in left]
+        right = self.g._nums.items()
+        return accumulate(out, (((m1, m2), n1 * n2) for m1, n1 in left for m2, n2 in right))
+
+
+class Tensor(_IntegerForm):
     """An element of the tensor square of the p-ring.
 
     Coefficients on pairs (left monomial, right monomial) are stored as
@@ -548,86 +624,47 @@ class Tensor:
     two-sided operators.
     """
 
-    __slots__ = ("_nums", "_den")
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[tuple[Mono, Mono], Scalar] | None = None):
-        nums, den = _encode(terms)
-        object.__setattr__(self, "_nums", nums)
-        object.__setattr__(self, "_den", den)
-
-    @classmethod
-    def _make(cls, nums: dict[tuple[Mono, Mono], int], den: int = 1) -> "Tensor":
-        """Wrap a dict of nonzero integer numerators over den > 0 that
-        nothing else holds, reducing it to lowest terms in place."""
-        nums, den = _reduced(nums, den)
-        obj = cls.__new__(cls)
-        object.__setattr__(obj, "_nums", nums)
-        object.__setattr__(obj, "_den", den)
-        return obj
-
-    __setattr__ = __delattr__ = _frozen
-
-    @property
-    def terms(self) -> Mapping[tuple[Mono, Mono], Fraction]:
-        """The coefficients, as a read-only map from monomial pair to Fraction."""
-        return _Terms(self._nums, self._den)
-
-    def __reduce__(self):
-        return Tensor, (dict(self.terms),)
+    def __new__(cls, terms: Mapping[tuple[Mono, Mono], Scalar] | None = None):
+        for key in terms or ():
+            if not (isinstance(key, tuple) and len(key) == 2):
+                raise ValueError(f"a tensor key is a pair of monomials, got {key!r}")
+            for leg in key:
+                check_mono(leg)
+        return super().__new__(cls, terms)
 
     @classmethod
     def lincomb(cls, triples: Iterable[tuple[Poly, Poly, Scalar]]) -> "Tensor":
-        """The sum of (f (x) g) * c over (f, g, c) triples, built in one
-        term map over the lcm of the triples' denominators.  The scale of
-        each triple is folded into each left numerator once."""
-        out: dict = {}
-        den = 1
-        for f, g, c in triples:
-            if not c:
-                continue
-            d = f._den * g._den * c.denominator
-            den = _widen(out, den, d)
-            s = den // d * c.numerator
-            left = f._nums.items() if s == 1 else [(m, n * s) for m, n in f._nums.items()]
-            right = g._nums.items()
-            accumulate(out, (((m1, m2), n1 * n2) for m1, n1 in left for m2, n2 in right))
-        return cls._make(out, den)
+        """The sum of (f (x) g) * c over (f, g, c) triples of p-polynomials,
+        built in one term map over the lcm of the triples' denominators."""
 
-    def _combined(self, other: "Tensor", c: Scalar) -> "Tensor":
-        """self + other * c."""
-        return Tensor._make(*_combine(((self._nums, self._den, 1), (other._nums, other._den, c))))
+        def parts():
+            for f, g, c in triples:
+                for leg in (f, g):
+                    if leg.family != "p":
+                        raise ValueError(f"tensor legs must be p-polynomials, got {leg.family!r}")
+                yield _Outer(f, g), c
+
+        return cls._make(*_combine(parts()))
 
     @classmethod
     def zero(cls) -> "Tensor":
         return cls._make({})
 
-    def is_zero(self) -> bool:
-        return not self._nums
-
-    def __bool__(self) -> bool:
-        return bool(self._nums)
-
-    def __eq__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return self._den == other._den and self._nums == other._nums
-
     def __add__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
-        return self._combined(other, 1)
-
-    def __neg__(self):
-        return self * -1
+        return Tensor._make(*_combine(((self, 1), (other, 1))))
 
     def __sub__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
-        return self._combined(other, -1)
+        return Tensor._make(*_combine(((self, 1), (other, -1))))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Tensor._make(*_combine(((self._nums, self._den, other),)))
+            return Tensor._make(*_combine(((self, other),)))
         return NotImplemented
 
     __rmul__ = __mul__

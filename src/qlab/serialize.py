@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ring import Mono, Poly, accumulate
+from .ring import Mono, Poly, accumulate, check_mono
 
 ALLOWED_FAMILIES = ("p", "x", "y", "D")
 
@@ -28,7 +28,7 @@ def poly_to_json_dict(f: Poly) -> dict:
     }
 
 
-def _parse_mono(data: dict) -> Mono:
+def _parse_mono(data: dict, family: str) -> Mono:
     if not isinstance(data, dict):
         raise ValueError("mono must be an object mapping index to exponent")
     pairs = []
@@ -37,16 +37,10 @@ def _parse_mono(data: dict) -> Mono:
             n = int(key)
         except (TypeError, ValueError):
             raise ValueError(f"bad variable index {key!r}") from None
-        if n < 1:
-            raise ValueError(f"variable index must be positive, got {n}")
-        if not isinstance(e, int) or isinstance(e, bool) or e < 1:
+        if not isinstance(e, int) or isinstance(e, bool):
             raise ValueError(f"exponent for index {n} must be a positive integer")
         pairs.append((n, e))
-    pairs.sort()
-    for i in range(1, len(pairs)):
-        if pairs[i][0] == pairs[i - 1][0]:
-            raise ValueError(f"repeated variable index {pairs[i][0]}")
-    return tuple(pairs)
+    return check_mono(tuple(sorted(pairs)), family)
 
 
 def poly_from_json_dict(data: dict) -> Poly:
@@ -62,12 +56,7 @@ def poly_from_json_dict(data: dict) -> Poly:
     for item in terms:
         if not isinstance(item, dict) or set(item) - {"mono", "coef"}:
             raise ValueError(f"malformed term {item!r}")
-        mono = _parse_mono(item.get("mono", {}))
-        for n, _ in mono:
-            if n % 2 == 0:
-                raise ValueError(
-                    f"family {family!r} only has odd variable indices, got {n}"
-                )
+        mono = _parse_mono(item.get("mono", {}), family)
         coef_text = item.get("coef")
         if not isinstance(coef_text, str):
             raise ValueError("coef must be a rational string")

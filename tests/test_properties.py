@@ -18,10 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlab import (
+    ParamSeq,
     Poly,
     Tensor,
+    apply_phi,
+    graded_monomials,
     hirota_apply,
     hirota_apply_taylor,
+    multiparam_q,
     poly_from_json_dict,
     poly_to_json_dict,
     tensor_map,
@@ -313,3 +317,23 @@ def test_rename_and_linear_division_invert(f, pq):
     assert canonical(quotient)
     with pytest.raises(ArithmeticError):
         (multiple + 1)._div_linear(p, q)
+
+
+@deterministic
+@given(st.dictionaries(st.sampled_from(graded_monomials(6)), coefs, max_size=4).map(Poly),
+       st.integers(-4, 4), st.integers(-4, 4))
+def test_phi_anticommutation(f, m, n):
+    lhs = apply_phi(m, apply_phi(n, f)) + apply_phi(n, apply_phi(m, f))
+    assert lhs == (f * (2 if m % 2 == 0 else -2) if m + n == 0 else Poly.zero())
+
+
+@deterministic
+@given(st.lists(st.integers(1, 4), min_size=2, max_size=3),
+       st.lists(coefs, min_size=3, max_size=3), st.data())
+def test_multiparam_antisymmetry(alpha, params, data):
+    a = ParamSeq([0, *params])
+    i = data.draw(st.integers(0, len(alpha) - 2))
+    swapped = [*alpha[:i], alpha[i + 1], alpha[i], *alpha[i + 2:]]
+    assert multiparam_q(swapped, a) == -multiparam_q(alpha, a)
+    repeated = [*alpha[:i + 1], alpha[i], *alpha[i + 2:]]
+    assert multiparam_q(repeated, a).is_zero()

@@ -18,6 +18,8 @@ from qlab import (
     mono_text,
     mono_weight,
     multiparam_q,
+    p_to_x,
+    poly_from_json_dict,
     q_lambda,
     strict_partitions,
     tensor_map,
@@ -255,6 +257,43 @@ def test_tensor_arithmetic():
     assert tensor_map(t, "right", lambda f: f * 0).is_zero()
     with pytest.raises(ValueError):
         tensor_map(t, "middle", lambda f: f)
+
+
+def test_constructors_reject_malformed_monomials():
+    malformed = [((2, 1),), ((1, 0),), ((3, 1), (1, 1)), ((1, 1), (1, 2)), ((0, 1),),
+                 ((-1, 1),), ((1,),), ((1, 1, 1),), ((1.0, 1),), "p1"]
+    for mono in malformed:
+        for build in (lambda: Poly({mono: 1}), lambda: Poly.from_mono(mono),
+                      lambda: Poly.from_mono(mono, 0), lambda: Tensor({(mono, ()): 1}),
+                      lambda: Tensor({((), mono): 1})):
+            with pytest.raises(ValueError):
+                build()
+    for key in [("a", "b"), (), (((1, 1),),), ((), (), ()), "pq"]:
+        with pytest.raises(ValueError):
+            Tensor({key: 1})
+    for n, e in [(2, 1), (4, 1), (0, 1), (-1, 1), (1, 0)]:
+        with pytest.raises(ValueError):
+            Poly.variable(n, exponent=e)
+    for mono in [{"4": 1}, {"0": 1}, {"1": 1, "01": 2}, {"3": 0}]:
+        with pytest.raises(ValueError):
+            poly_from_json_dict({"vars": "D", "terms": [{"mono": mono, "coef": "1"}]})
+    assert Poly({((1, 1), (3, 1)): 1}) == Poly.variable(1) * Poly.variable(3)
+    assert Poly({(): 1}) == Poly.one()
+    # The oracle's alphabet x_1..x_N allows every positive index.
+    assert Poly({((2, 1), (4, 3)): 1}, "v") == Poly.variable(2, "v") * Poly.variable(4, "v", 3)
+
+
+def test_tensor_legs_must_be_power_sum_polynomials():
+    x1 = Poly.variable(1, "x")
+    for f, g in [(x1, Poly.one("x")), (Poly.one(), x1), (Poly.one("D"), Poly.one())]:
+        with pytest.raises(ValueError):
+            tensor_of(f, g)
+        with pytest.raises(ValueError):
+            Tensor.lincomb([(Poly.one(), Poly.one(), 1), (f, g, 0)])
+    t = tensor_of(q_lambda((2, 1)), q_lambda((1,)))
+    with pytest.raises(ValueError):
+        tensor_map(t, "left", p_to_x)
+    assert tensor_map(t, "right", lambda f: f * 2) == t * 2
 
 
 def test_graded_monomials():
