@@ -19,9 +19,14 @@ The hierarchy generator expands
 
 with ytilde_n = -2 y_n and Dtilde_n = 2 D_n / n, collecting the
 coefficient of every monomial in the formal variables y; each
-coefficient is a Hirota polynomial that must annihilate tau.tau.  Odd
+coefficient is a Hirota polynomial that must annihilate tau.tau.  The
+S_m are the one-row Q_m of the series module, rescaled: S_m(Dtilde) is
+Q_m with p_n -> D_n and S_m(ytilde) is Q_m with p_n -> -n y_n.  Odd
 total degree monomials in D act as zero on any pair (f, f), so the
-canonical form of each equation keeps only the even-degree part.
+canonical form of each equation keeps only the even-degree part.  The
+equations are built and cached one y-weight at a time, each as its raw
+coefficient and its canonical form, so raising the weight bound builds
+only the new weights.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .ring import (
     mono_text,
     mono_weight,
 )
-from .series import exp_series
+from .series import schur_q_row
 
 
 def p_to_x(f: Poly) -> Poly:
@@ -161,51 +166,31 @@ def hirota_apply_taylor(p: Poly, f: Poly, g: Poly) -> Poly:
 
 
 @cache
-def _generate_raw(max_weight: int) -> dict[Mono, Poly]:
-    xs_y = [
-        Poly.variable(n, "y") * (-2) if n % 2 == 1 else Fraction(0)
-        for n in range(1, max_weight + 1)
-    ]
-    xs_d = [
-        Poly.variable(n, "D") * Fraction(2, n) if n % 2 == 1 else Fraction(0)
-        for n in range(1, max_weight + 1)
-    ]
-    sy = exp_series(xs_y, max_weight)
-    sd = exp_series(xs_d, max_weight)
-    # The y^mu coefficient of exp(sum_n y_n D_n) is D^mu / mu!.
-    efac = {
-        mu: Poly.from_mono(mu, Fraction(1, math.prod(math.factorial(e) for _, e in mu)), "D")
-        for mu in graded_monomials(max_weight - 1)
-    }
+def _weight_slice(w: int) -> dict[Mono, tuple[Poly, Poly]]:
+    """Every equation of y-weight exactly w, as a map from its y-monomial
+    to the pair (raw coefficient, even-degree part).  Each D^mu / mu!, the
+    y^mu coefficient of exp(sum_n y_n D_n), pairs with the S_m of weight
+    m = w - |mu|; of S_m(ytilde) only the coefficients are read."""
+    rows: dict[int, tuple[Poly, list[tuple[Mono, Fraction]]]] = {}
+    for m in range(1, w + 1):
+        q = schur_q_row(m)
+        sym = [(ym, c * math.prod((-n) ** e for n, e in ym)) for ym, c in q.terms.items()]
+        rows[m] = q._scaled_terms(lambda _: 1, "D"), sym
     pairs: dict[Mono, list[tuple[Poly, Fraction]]] = {}
-    for m in range(1, max_weight + 1):
-        sym = sy[m]
-        sdm = sd[m]
-        if not sym or not sdm:
-            continue
-        for mu, p in efac.items():
-            if m + mono_weight(mu) > max_weight:
-                continue
-            prod = sdm * p
-            for ymono, c in sym.terms.items():
-                pairs.setdefault(mono_mul(ymono, mu), []).append((prod, c))
-    out: dict[Mono, Poly] = {}
+    for mu in graded_monomials(w - 1):
+        sdm, sym = rows[w - mono_weight(mu)]
+        d = Fraction(1, math.prod(math.factorial(e) for _, e in mu))
+        prod = sdm * Poly.from_mono(mu, d, "D")
+        for ymono, c in sym:
+            pairs.setdefault(mono_mul(ymono, mu), []).append((prod, c))
+    out: dict[Mono, tuple[Poly, Poly]] = {}
     for key, items in pairs.items():
         val = Poly.lincomb(items, "D")
-        w = mono_weight(key)
         if any(mono_weight(m) != w for m in val.terms):
             raise ArithmeticError(f"inhomogeneous equation at {mono_text(key, 'y')}")
         if val:
-            out[key] = val
+            out[key] = val, val._filtered(lambda m: mono_degree(m) % 2 == 0)
     return out
-
-
-@cache
-def _generate_canonical(max_weight: int) -> dict[Mono, Poly]:
-    return {
-        key: val._filtered(lambda m: mono_degree(m) % 2 == 0)
-        for key, val in _generate_raw(max_weight).items()
-    }
 
 
 def bkp_generate(max_weight: int, canonical: bool = True) -> dict[Mono, Poly]:
@@ -219,7 +204,9 @@ def bkp_generate(max_weight: int, canonical: bool = True) -> dict[Mono, Poly]:
     """
     if max_weight < 2:
         raise ValueError("max_weight must be at least 2")
-    return dict((_generate_canonical if canonical else _generate_raw)(max_weight))
+    i = 1 if canonical else 0
+    return {key: pair[i] for w in range(1, max_weight + 1)
+            for key, pair in _weight_slice(w).items()}
 
 
 def _equations(max_weight: int):

@@ -72,12 +72,7 @@ def multiparam_q(alpha: tuple[int, ...], a: ParamSeq) -> Poly:
     functions; antisymmetry in the entries and vanishing on repeated
     entries are consequences, not special cases.
     """
-    return _multiparam_q(_positive(alpha), a)
-
-
-@cache
-def _multiparam_q(vec: tuple[int, ...], a: ParamSeq) -> Poly:
-    slot_lists = [_slot_coeffs(part, a) for part in vec]
+    slot_lists = [_slot_coeffs(part, a) for part in _positive(alpha)]
     return Poly.lincomb(
         (q_lambda(tuple(lam for lam, _ in combo)), math.prod(c for _, c in combo))
         for combo in itertools.product(*slot_lists)

@@ -27,7 +27,8 @@ Every value is immutable after construction and every operation is a
 pure function, so values can be shared freely between threads or cached
 without copying.  Every sum of terms is formed by accumulate, the
 package's one sparse-accumulation kernel.  check_mono is the one test of
-what a monomial is, and LazyMap the package's one map filled on lookup.
+what a monomial is, check_family the one test of what a variable family
+is, and LazyMap the package's one map filled on lookup.
 """
 
 from __future__ import annotations
@@ -97,6 +98,14 @@ class LazyMap(dict):
     def __missing__(self, key):
         self[key] = value = self.make(self, key)
         return value
+
+
+def check_family(family) -> str:
+    """Return family if it is a variable family of FAMILY_LETTERS, else
+    raise ValueError."""
+    if not (isinstance(family, str) and family in FAMILY_LETTERS):
+        raise ValueError(f"unknown variable family {family!r}")
+    return family
 
 
 def check_mono(mono, family: str = "p") -> Mono:
@@ -339,6 +348,7 @@ class Poly(_IntegerForm):
     __slots__ = ("family",)
 
     def __new__(cls, terms: Mapping[Mono, Scalar] | None = None, family: str = "p"):
+        check_family(family)
         for mono in terms or ():
             check_mono(mono, family)
         return super().__new__(cls, terms, family)
@@ -346,7 +356,7 @@ class Poly(_IntegerForm):
     @classmethod
     def lincomb(cls, pairs: Iterable[tuple["Poly", Scalar]], family: str = "p") -> "Poly":
         """The sum of f * c over (f, c) pairs, built in one term map."""
-        return cls._lincomb(pairs, family)
+        return cls._lincomb(pairs, check_family(family))
 
     @classmethod
     def _lincomb(cls, pairs: Iterable[tuple["Poly", Scalar]], family: str,
@@ -420,11 +430,11 @@ class Poly(_IntegerForm):
 
     @classmethod
     def zero(cls, family: str = "p") -> "Poly":
-        return cls._make({}, 1, family)
+        return cls._make({}, 1, check_family(family))
 
     @classmethod
     def one(cls, family: str = "p") -> "Poly":
-        return cls._make({EMPTY_MONO: 1}, 1, family)
+        return cls._make({EMPTY_MONO: 1}, 1, check_family(family))
 
     @classmethod
     def const(cls, value: Scalar, family: str = "p") -> "Poly":
@@ -432,11 +442,11 @@ class Poly(_IntegerForm):
 
     @classmethod
     def variable(cls, n: int, family: str = "p", exponent: int = 1) -> "Poly":
-        return cls._make({check_mono(((n, exponent),), family): 1}, 1, family)
+        return cls._make({check_mono(((n, exponent),), check_family(family)): 1}, 1, family)
 
     @classmethod
     def from_mono(cls, mono: Mono, coef: Scalar = 1, family: str = "p") -> "Poly":
-        check_mono(mono, family)
+        check_mono(mono, check_family(family))
         c = _fr(coef)
         return cls._make({mono: c.numerator} if c else {}, c.denominator, family)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from typing import Iterable, Sequence
 
 from .ring import Poly, Scalar, _frozen
@@ -222,7 +222,7 @@ def log_series_by_inversion(ss: Sequence, k: int) -> list:
     return acc[1:]
 
 
-@lru_cache(maxsize=None)
+@cache
 def schur_q_row(k: int) -> Poly:
     """The one-row Schur Q-function Q_k in odd power sums.
 

@@ -1,5 +1,6 @@
 """Tests for Hirota calculus, hierarchy generation, and the equation checker."""
 
+import math
 import os
 import random
 from fractions import Fraction
@@ -21,7 +22,8 @@ from qlab import (
     schur_q_row,
     x_to_p,
 )
-from qlab.ring import mono_sort_key, mono_text
+from qlab import hirota
+from qlab.ring import mono_degree, mono_sort_key, mono_text, mono_weight
 
 from conftest import rand_poly
 
@@ -150,6 +152,48 @@ def test_bkp_generate_raw_matches_golden():
     lines = [f"{mono_text(m, 'y')} : {raw[m].text()}" for m in sorted(raw, key=mono_sort_key)]
     with open(GOLDEN_RAW) as fh:
         assert lines == fh.read().splitlines()
+
+
+def _substituted(q, family, scale):
+    """q with every p_n replaced by scale(n) * v_n, v the given family."""
+    return Poly({m: c * math.prod(scale(n) ** e for n, e in m) for m, c in q.terms.items()},
+                family)
+
+
+def test_generator_series_are_rescaled_q_rows():
+    """The identity the generator rests on: exp_series of the X-sequences
+    (-2 y_n) and (2 D_n / n) gives Q_m with p_n -> -n y_n and p_n -> D_n."""
+    k = 16
+    sy = exp_series([Poly.variable(n, "y") * -2 if n % 2 else 0 for n in range(1, k + 1)], k)
+    sd = exp_series([Poly.variable(n, "D") * F(2, n) if n % 2 else 0 for n in range(1, k + 1)], k)
+    for m in range(k + 1):
+        q = schur_q_row(m)
+        assert sy[m] == _substituted(q, "y", lambda n: -n)
+        assert sd[m] == _substituted(q, "D", lambda n: 1)
+
+
+def test_bkp_generate_joins_weight_slices():
+    """A lower weight bound reads the same equations, raw and canonical,
+    and each canonical equation is the even-degree part of the raw one."""
+    for canonical in (True, False):
+        eqs = {w: bkp_generate(w, canonical=canonical) for w in range(2, 15)}
+        for w in range(3, 15):
+            for lower in range(2, w):
+                assert eqs[lower] == {m: p for m, p in eqs[w].items() if mono_weight(m) <= lower}
+    raw, canon = bkp_generate(14, canonical=False), bkp_generate(14)
+    assert canon.keys() == raw.keys()
+    for ymono, p in raw.items():
+        even = {m: c for m, c in p.terms.items() if mono_degree(m) % 2 == 0}
+        assert canon[ymono] == Poly(even, "D")
+
+
+def test_raising_the_weight_bound_builds_only_the_new_weights():
+    tau = q_lambda((2, 1))
+    hirota._weight_slice.cache_clear()
+    assert bkp_check(tau, 12).passed
+    assert hirota._weight_slice.cache_info().misses == 12
+    assert bkp_check(tau, 14).passed
+    assert hirota._weight_slice.cache_info().misses == 14
 
 
 def test_bkp_check_passes_on_solutions():

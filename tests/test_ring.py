@@ -283,6 +283,19 @@ def test_constructors_reject_malformed_monomials():
     assert Poly({((2, 1), (4, 3)): 1}, "v") == Poly.variable(2, "v") * Poly.variable(4, "v", 3)
 
 
+def test_constructors_reject_unknown_families():
+    for family in ("z", "zz", "P", "", None, 1):
+        for build in (lambda: Poly({((1, 1),): 1}, family), lambda: Poly(None, family),
+                      lambda: Poly.zero(family), lambda: Poly.one(family),
+                      lambda: Poly.const(3, family), lambda: Poly.variable(2, family),
+                      lambda: Poly.from_mono(((1, 1),), 1, family),
+                      lambda: Poly.lincomb([], family)):
+            with pytest.raises(ValueError, match="unknown variable family"):
+                build()
+    for family, letter in [("p", "p"), ("x", "x"), ("y", "y"), ("D", "D"), ("v", "x")]:
+        assert Poly.lincomb([(Poly.variable(1, family), 2)], family).text() == f"2*{letter}1"
+
+
 def test_tensor_legs_must_be_power_sum_polynomials():
     x1 = Poly.variable(1, "x")
     for f, g in [(x1, Poly.one("x")), (Poly.one(), x1), (Poly.one("D"), Poly.one())]:
