@@ -17,15 +17,32 @@ phi_{l_1} ... phi_{l_r} (1) produce the (multi-index) Schur Q-functions.
 The bilinear map apply_omega and the solution test is_bkp_tau_bilinear
 express the hierarchy's bilinear identity
 sum_n (-1)^n phi_n tau (x) phi_{-n} tau = tau (x) tau.
+
+Since every g_k is linear, the one formula sum_k Q_{m+k} g_k (_phi_from)
+can be summed in two orders, and each route uses the one that wins on
+it.  apply_phi, and with it q_lambda and the multiparameter
+constructions, goes monomial by monomial: the image of phi_m on one
+monomial is cached (_phi_mono), and every Q-function of one weight
+shares those images (Q_4 and Q_{3,1} both have the monomials p1^4 and
+p1 p3).  is_bkp_tau_bilinear forms g_k(tau) once for the whole tau and
+then phi_m tau from it; on a tau function the per-monomial images
+cancel heavily, so summing g_k(tau) first does far less work.  The
+whole-f order is not used for apply_phi: building Q-functions applies
+phi to many polynomials that share monomials, and without the shared
+per-monomial images construction is slower.  apply_omega keeps the
+per-monomial route on each pair of monomials, so
+apply_omega(f (x) f) - f (x) f is an independent cross-check of the
+verifier.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
 
-from .ring import LazyMap, Mono, Poly, Tensor
+from .ring import LazyMap, Mono, Poly, Tensor, mono_weight
 from .series import schur_q_row
 
 
@@ -56,12 +73,17 @@ def _shift_coeffs(mono: Mono) -> tuple[Poly, ...]:
     return tuple(exp_derivation_coeffs(Poly.from_mono(mono), sign=-1))
 
 
+def _phi_from(m: int, gs: Sequence[Poly]) -> Poly:
+    """phi_m f = sum_k Q_{m+k} g_k(f), from the shift coefficients
+    gs = g_0(f), g_1(f), ... of f."""
+    return Poly.lincomb(
+        (schur_q_row(m + k) * gs[k], 1) for k in range(max(0, -m), len(gs)) if gs[k]
+    )
+
+
 @cache
 def _phi_mono(m: int, mono: Mono) -> Poly:
-    return Poly.lincomb(
-        (schur_q_row(m + k) * g, 1)
-        for k, g in enumerate(_shift_coeffs(mono)) if m + k >= 0 and g
-    )
+    return _phi_from(m, _shift_coeffs(mono))
 
 
 def apply_phi(m: int, f: Poly) -> Poly:
@@ -85,23 +107,24 @@ def _q_lambda(vec: tuple[int, ...]) -> Poly:
     return apply_phi(vec[0], _q_lambda(vec[1:])) if vec else Poly.one()
 
 
-def _omega_triples(f: Poly, g: Poly, c=1, widen: int = 0):
+def _omega_triples(phi_f, phi_g, lo: int, hi: int, c=1):
     """The nonzero terms (phi_n f, phi_{-n} g, (-1)^n c) of
-    c * sum_n (-1)^n phi_n f (x) phi_{-n} g, over the range of n that
-    apply_omega describes, enlarged by widen on both sides.
+    c * sum_n (-1)^n phi_n f (x) phi_{-n} g over lo <= n <= hi, where
+    phi_f[m] and phi_g[m] read the images phi_m f and phi_m g.
 
-    Of the two factors, the one whose index is not positive is formed
+    Of the two factors, the one whose index is not positive is read
     first: phi_m h with m <= 0 keeps only the terms Q_{m+k} g_k(h) with
     k >= -m, so it is the cheap annihilation side and is zero for most m
     (on Q_lambda, phi_{-n} is nonzero only for the parts n of lambda).
-    The other, creation factor is formed only when the first is nonzero;
-    a term with a zero factor is zero, so skipping it is exact.  Each
-    phi_m f and phi_m g is formed at most once per call, and when g is f
-    both sides read one map.
+    The other, creation factor is read only when the first is nonzero;
+    a term with a zero factor is zero, so skipping it is exact.
+
+    This is the one Omega loop; its callers differ only in the maps they
+    hand in, each a LazyMap that forms an image at most once.
+    apply_omega reads the cached per-monomial images of each monomial
+    pair, is_bkp_tau_bilinear one map of whole-tau images for both sides.
     """
-    phi_f = LazyMap(lambda _, m: apply_phi(m, f))
-    phi_g = phi_f if g is f else LazyMap(lambda _, m: apply_phi(m, g))
-    for n in range(-f.weight() - widen, g.weight() + widen + 1):
+    for n in range(lo, hi + 1):
         if n > 0:
             right = phi_g[-n]
             left = right and phi_f[n]
@@ -112,6 +135,11 @@ def _omega_triples(f: Poly, g: Poly, c=1, widen: int = 0):
             yield left, right, c if n % 2 == 0 else -c
 
 
+def _mono_images(mono: Mono) -> LazyMap:
+    """The images phi_m of one monomial, read from the _phi_mono cache."""
+    return LazyMap(lambda _, m: _phi_mono(m, mono))
+
+
 def apply_omega(t: Tensor, widen: int = 0) -> Tensor:
     """The bilinear Casimir-style operator
     sum_n phi_n (x) (-1)^n phi_{-n} applied to a tensor.
@@ -120,16 +148,21 @@ def apply_omega(t: Tensor, widen: int = 0) -> Tensor:
     phi_n f = 0 for n < -weight(f) and phi_{-n} g = 0 for n > weight(g),
     so the sum runs over -weight(f) <= n <= weight(g).  The widen
     parameter enlarges that range symmetrically; the result must not
-    depend on it, which tests exercise.  For each n the annihilation
-    factor (phi_{-n} g for n > 0, phi_n f otherwise) is formed first and
-    the creation factor only when it is nonzero (see _omega_triples).
+    depend on it, which tests exercise.  Each pair of monomials is
+    expanded separately through the cached per-monomial images, and for
+    each n the annihilation factor (phi_{-n} g for n > 0, phi_n f
+    otherwise) is formed first and the creation factor only when it is
+    nonzero (see _omega_triples).
     """
     if widen < 0:
         raise ValueError("widen must be nonnegative")
     return Tensor.lincomb(
         triple
         for (ml, mr), c in t.terms.items()
-        for triple in _omega_triples(Poly.from_mono(ml), Poly.from_mono(mr), c, widen)
+        for triple in _omega_triples(
+            _mono_images(ml), _mono_images(mr),
+            -mono_weight(ml) - widen, mono_weight(mr) + widen, c,
+        )
     )
 
 
@@ -138,13 +171,18 @@ def is_bkp_tau_bilinear(f: Poly) -> tuple[bool, Tensor]:
 
     Returns the verdict together with the discrepancy tensor
     (left side minus right side), which is zero exactly on success.
-    Both sides of the sum read one map of the images phi_m f, so each is
-    formed at most once, and a creation image phi_n f (n > 0) is formed
-    only when its partner phi_{-n} f is nonzero: on Q_lambda that is
-    only for the parts n of lambda.  Skipped terms have a zero factor,
-    so the tensor is the full sum.
+    The shift coefficients g_k(f) are formed once for the whole f, and
+    each image phi_m f = sum_k Q_{m+k} g_k(f) from them, at most once
+    and only when read: unlike the per-monomial images of apply_phi,
+    g_k(f) has already cancelled what cancels between the monomials of
+    a tau function.  Both sides of the sum read one map of the images,
+    and a creation image phi_n f (n > 0) is formed only when its partner
+    phi_{-n} f is nonzero: on Q_lambda that is only for the parts n of
+    lambda.  Skipped terms have a zero factor, so the tensor is the full
+    sum.
     """
-    if f.family != "p":
-        raise ValueError("fermion operators act on power-sum polynomials")
-    acc = Tensor.lincomb(itertools.chain(_omega_triples(f, f), [(f, f, -1)]))
+    gs = exp_derivation_coeffs(f)
+    phi = LazyMap(lambda _, m: _phi_from(m, gs))
+    w = f.weight()
+    acc = Tensor.lincomb(itertools.chain(_omega_triples(phi, phi, -w, w), [(f, f, -1)]))
     return (acc.is_zero(), acc)

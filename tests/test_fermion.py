@@ -1,5 +1,6 @@
 """Tests for the neutral-fermion operators and the bilinear-identity checker."""
 
+import hashlib
 import os
 import random
 from fractions import Fraction
@@ -22,7 +23,9 @@ from qlab import (
     tensor_of,
 )
 
-from conftest import rand_fraction
+from qlab import fermion
+
+from conftest import RANDOM_A, rand_fraction
 
 F = Fraction
 
@@ -194,10 +197,40 @@ def test_is_bkp_witness_fails(witness):
 def test_is_bkp_discrepancy_is_omega_minus_square(witness):
     # Both functions sum the same Omega terms; on f (x) f apply_omega
     # expands every pair of monomials separately.
-    taus = [q_lambda((3, 1)), multiparam_q((3, 1), ParamSeq.factorial(2)), witness]
+    p1 = Poly.variable(1)
+    taus = [
+        q_lambda((3, 1)),
+        multiparam_q((3, 1), ParamSeq.factorial(2)),
+        witness,
+        q_lambda((4, 2)) + p1 * p1 * q_lambda((2,)) * F(2, 3),
+        multiparam_q((3, 2), RANDOM_A),
+    ]
     for f in taus:
         ff = tensor_of(f, f)
         assert is_bkp_tau_bilinear(f)[1] == apply_omega(ff) - ff
+
+
+def test_bilinear_verifier_reads_no_per_monomial_image():
+    # is_bkp_tau_bilinear forms phi_m tau from g_k(tau) of the whole tau;
+    # apply_omega on tau (x) tau goes through the per-monomial cache.
+    tau = q_lambda((5, 3, 1)) + Poly.variable(3) * q_lambda((4, 2)) * F(1, 3)
+    fermion._phi_mono.cache_clear()
+    assert not is_bkp_tau_bilinear(tau)[0]
+    assert fermion._phi_mono.cache_info().misses == 0
+    apply_omega(tensor_of(tau, tau))
+    assert fermion._phi_mono.cache_info().misses > 0
+
+
+def test_bilinear_weight_24_rung():
+    # q(13,7,3,1) and its perturbation by 2 p1^2 q(7,3,1); the sha256 of
+    # the discrepancy was recorded from the per-monomial verifier.
+    tau = q_lambda((13, 7, 3, 1))
+    assert is_bkp_tau_bilinear(tau)[0]
+    ok, disc = is_bkp_tau_bilinear(tau + Poly.variable(1) ** 2 * q_lambda((7, 3, 1)) * 2)
+    assert not ok
+    assert len(disc.terms) == 19605
+    assert hashlib.sha256(disc.text().encode()).hexdigest() == (
+        "3d483ff1cfb2f8ffd3f2369ad0fb1d8287e96e9766c62e7861ba3882c7f3da4a")
 
 
 def test_is_bkp_pure_combination_passes():
