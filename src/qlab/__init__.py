@@ -24,6 +24,16 @@ from .hirota import (
     p_to_x,
     x_to_p,
 )
+from .monomial import (
+    EMPTY_MONO,
+    Mono,
+    graded_monomials,
+    mono_degree,
+    mono_mul,
+    mono_sort_key,
+    mono_text,
+    mono_weight,
+)
 from .multiparam import (
     check_multiparam_expansion,
     multiparam_q,
@@ -40,22 +50,7 @@ from .oracle import (
     qa_sym,
     qa_sym_at,
 )
-from .ring import (
-    EMPTY_MONO,
-    Mono,
-    Poly,
-    Scalar,
-    Tensor,
-    graded_monomials,
-    mono_degree,
-    mono_mul,
-    mono_sort_key,
-    mono_text,
-    mono_weight,
-    strict_partitions,
-    tensor_map,
-    tensor_of,
-)
+from .ring import Poly, Scalar, Tensor, strict_partitions, tensor_map, tensor_of
 from .serialize import poly_from_json_dict, poly_to_json_dict
 from .series import (
     ParamSeq,

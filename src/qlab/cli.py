@@ -24,11 +24,12 @@ Tau functions are given as 'q:2,1', 'qa:2,1@0,1,2', 'qa:2,1@factorial',
 or 'json:FILE'.  Parameter sequences are comma-separated rationals
 starting with 0, or the named families 'zero' and 'factorial'.
 
-Exit status: 0 success, 1 a verification failed, 2 usage error, 3 internal
-error (an unexpected exception, reported on stderr).  The environment
-variable QLAB_MAX_WEIGHT, if set, caps the accepted --max-weight and
---max-sum values, the weight of a q/qa index vector (the sum of the
-absolute values of its entries) and the weight of a json: tau.
+Exit status: 0 success, 1 a verification failed, 2 usage error (including
+an input whose computation would pass the ring's exponent bound), 3
+internal error (an unexpected exception, reported on stderr).  The
+environment variable QLAB_MAX_WEIGHT, if set, caps the accepted
+--max-weight and --max-sum values, the weight of a q/qa index vector (the
+sum of the absolute values of its entries) and the weight of a json: tau.
 """
 
 from __future__ import annotations
@@ -315,10 +316,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -42,7 +42,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
 
-from .ring import LazyMap, Mono, Poly, Tensor, mono_weight
+from .monomial import _key_weight
+from .ring import LazyMap, Poly, Tensor
 from .series import schur_q_row
 
 
@@ -67,10 +68,10 @@ def exp_derivation_coeffs(f: Poly, sign: int = -1) -> list[Poly]:
 
 
 @cache
-def _shift_coeffs(mono: Mono) -> tuple[Poly, ...]:
-    """g_0, g_1, ... of one monomial: exp_derivation_coeffs with sign -1,
-    which every phi_m shares."""
-    return tuple(exp_derivation_coeffs(Poly.from_mono(mono), sign=-1))
+def _shift_coeffs(key: int) -> tuple[Poly, ...]:
+    """g_0, g_1, ... of one monomial, given as its packed key:
+    exp_derivation_coeffs with sign -1, which every phi_m shares."""
+    return tuple(exp_derivation_coeffs(Poly._make({key: 1}, 1, "p"), sign=-1))
 
 
 def _phi_from(m: int, gs: Sequence[Poly]) -> Poly:
@@ -82,15 +83,16 @@ def _phi_from(m: int, gs: Sequence[Poly]) -> Poly:
 
 
 @cache
-def _phi_mono(m: int, mono: Mono) -> Poly:
-    return _phi_from(m, _shift_coeffs(mono))
+def _phi_mono(m: int, key: int) -> Poly:
+    """phi_m on the monomial with the packed key."""
+    return _phi_from(m, _shift_coeffs(key))
 
 
 def apply_phi(m: int, f: Poly) -> Poly:
     """The operator phi_m applied to a power-sum polynomial."""
     if f.family != "p":
         raise ValueError("fermion operators act on power-sum polynomials")
-    return f._linear_image(lambda mono: _phi_mono(m, mono), "p")
+    return f._linear_image(lambda key: _phi_mono(m, key), "p")
 
 
 def q_lambda(index: tuple[int, ...]) -> Poly:
@@ -135,9 +137,9 @@ def _omega_triples(phi_f, phi_g, lo: int, hi: int, c=1):
             yield left, right, c if n % 2 == 0 else -c
 
 
-def _mono_images(mono: Mono) -> LazyMap:
+def _mono_images(key: int) -> LazyMap:
     """The images phi_m of one monomial, read from the _phi_mono cache."""
-    return LazyMap(lambda _, m: _phi_mono(m, mono))
+    return LazyMap(lambda _, m: _phi_mono(m, key))
 
 
 def apply_omega(t: Tensor, widen: int = 0) -> Tensor:
@@ -158,10 +160,10 @@ def apply_omega(t: Tensor, widen: int = 0) -> Tensor:
         raise ValueError("widen must be nonnegative")
     return Tensor.lincomb(
         triple
-        for (ml, mr), c in t.terms.items()
+        for kl, kr, c in t._key_terms()
         for triple in _omega_triples(
-            _mono_images(ml), _mono_images(mr),
-            -mono_weight(ml) - widen, mono_weight(mr) + widen, c,
+            _mono_images(kl), _mono_images(kr),
+            -_key_weight(kl) - widen, _key_weight(kr) + widen, c,
         )
     )
 

@@ -33,22 +33,21 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
-from .ring import (
+from .monomial import (
     EMPTY_MONO,
-    LazyMap,
     Mono,
-    Poly,
-    accumulate,
+    _key_vars,
     graded_monomials,
-    mono_degree,
     mono_mul,
     mono_text,
     mono_weight,
 )
+from .ring import LazyMap, Poly, accumulate
 from .series import schur_q_row
 
 
@@ -57,26 +56,21 @@ def p_to_x(f: Poly) -> Poly:
     substituting p_n = n x_n / 2."""
     if f.family != "p":
         raise ValueError("expected a power-sum polynomial")
-    return _rescale(f, "x", lambda n: Fraction(n, 2))
+    return f._rescaled(lambda n: Fraction(n, 2), "x")
 
 
 def x_to_p(f: Poly) -> Poly:
     """Inverse of p_to_x: substitute x_n = 2 p_n / n."""
     if f.family != "x":
         raise ValueError("expected a rescaled-time polynomial")
-    return _rescale(f, "p", lambda n: Fraction(2, n))
+    return f._rescaled(lambda n: Fraction(2, n), "p")
 
 
-def _rescale(f: Poly, family: str, factor) -> Poly:
-    """Substitute factor(n) * v_n for every variable v_n of f."""
-    return f._scaled_terms(lambda m: math.prod((factor(n) ** e for n, e in m), start=1), family)
-
-
-def _derivative(derivatives: LazyMap, alpha: Mono) -> Poly:
-    """d^alpha f, formed from its parent in the map of derivatives of f."""
-    n, e = alpha[-1]
-    parent = alpha[:-1] if e == 1 else alpha[:-1] + ((n, e - 1),)
-    return derivatives[parent].diff(n)
+def _derivative(derivatives: LazyMap, alpha: int) -> Poly:
+    """d^alpha f, formed from its parent in the map of derivatives of f;
+    alpha is a packed key."""
+    n, unit, _ = _key_vars(alpha)[-1]
+    return derivatives[alpha - unit].diff(n)
 
 
 def _hirota_values(f: Poly, g: Poly) -> LazyMap:
@@ -86,26 +80,32 @@ def _hirota_values(f: Poly, g: Poly) -> LazyMap:
     alpha + beta = gamma of (-1)^|beta| binom(gamma, alpha) d^alpha f d^beta g.
     When g is f, D^gamma f.f = (-1)^|gamma| D^gamma f.f: it is zero for odd
     |gamma|, and for even |gamma| the splittings (alpha, beta) and
-    (beta, alpha) give equal terms, so only alpha <= beta (as exponent
-    tuples) is summed, with the terms alpha < beta doubled.
+    (beta, alpha) give equal terms, so only alpha <= beta (as packed keys)
+    is summed, with the terms alpha < beta doubled.  The map, and the maps
+    of derivatives it reads, are keyed by packed monomial keys (D and x
+    keys are laid out alike), so no key is decoded.
     """
-    df = LazyMap(_derivative, {EMPTY_MONO: f})
-    dg = df if g is f else LazyMap(_derivative, {EMPTY_MONO: g})
+    df = LazyMap(_derivative, {0: f})
+    dg = df if g is f else LazyMap(_derivative, {0: g})
 
-    def value(_map: LazyMap, gamma: Mono) -> Poly:
-        exps = [e for _, e in gamma]
-        if g is f and sum(exps) % 2:
+    def value(_map: LazyMap, gamma: int) -> Poly:
+        variables = _key_vars(gamma)
+        units = [unit for _, unit, _ in variables]
+        exps = [e for _, _, e in variables]
+        order = sum(exps)
+        if g is f and order % 2:
             return Poly.zero("x")
         items = []
         for alphas in itertools.product(*(range(e + 1) for e in exps)):
-            betas = tuple(e - a for e, a in zip(exps, alphas))
-            if g is f and alphas > betas:
+            alpha = sum(map(operator.mul, units, alphas))
+            beta = gamma - alpha
+            if g is f and alpha > beta:
                 continue
-            lf = df[tuple((n, a) for (n, _), a in zip(gamma, alphas) if a)]
-            rg = dg[tuple((n, b) for (n, _), b in zip(gamma, betas) if b)]
+            lf = df[alpha]
+            rg = dg[beta]
             if lf and rg:
-                c = (-1) ** sum(betas) * math.prod(map(math.comb, exps, alphas))
-                items.append((lf * rg, 2 * c if g is f and alphas < betas else c))
+                c = (-1) ** (order - sum(alphas)) * math.prod(map(math.comb, exps, alphas))
+                items.append((lf * rg, 2 * c if g is f and alpha < beta else c))
         return Poly.lincomb(items, "x")
 
     return LazyMap(value)
@@ -174,8 +174,7 @@ def _weight_slice(w: int) -> dict[Mono, tuple[Poly, Poly]]:
     rows: dict[int, tuple[Poly, list[tuple[Mono, Fraction]]]] = {}
     for m in range(1, w + 1):
         q = schur_q_row(m)
-        sym = [(ym, c * math.prod((-n) ** e for n, e in ym)) for ym, c in q.terms.items()]
-        rows[m] = q._scaled_terms(lambda _: 1, "D"), sym
+        rows[m] = q._rescaled(lambda _: 1, "D"), list(q._rescaled(lambda n: -n, "y").terms.items())
     pairs: dict[Mono, list[tuple[Poly, Fraction]]] = {}
     for mu in graded_monomials(w - 1):
         sdm, sym = rows[w - mono_weight(mu)]
@@ -186,10 +185,10 @@ def _weight_slice(w: int) -> dict[Mono, tuple[Poly, Poly]]:
     out: dict[Mono, tuple[Poly, Poly]] = {}
     for key, items in pairs.items():
         val = Poly.lincomb(items, "D")
-        if any(mono_weight(m) != w for m in val.terms):
+        if val.weight_part(w) != val:
             raise ArithmeticError(f"inhomogeneous equation at {mono_text(key, 'y')}")
         if val:
-            out[key] = val, val._filtered(lambda m: mono_degree(m) % 2 == 0)
+            out[key] = val, val._even_degree_part()
     return out
 
 

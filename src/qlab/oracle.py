@@ -41,6 +41,7 @@ import math
 from fractions import Fraction
 from functools import cache
 
+from .monomial import _key_vars
 from .ring import Poly, Scalar
 from .series import ParamSeq, schur_q_row
 
@@ -71,13 +72,13 @@ def _sym_sum(shifts: list[tuple[Fraction, ...]], n_vars: int) -> Poly:
         (x[i] - x[j] for i, j in itertools.combinations(range(l + 1, n_vars + 1), 2)),
     ), start=Poly.one("v"))
 
-    def images():
-        for t in itertools.permutations(range(1, n_vars + 1), l):
-            w = t + tuple(c for c in range(1, n_vars + 1) if c not in t)
-            inversions = sum(a > b for a, b in itertools.combinations(w, 2))
-            yield g._renamed(dict(enumerate(w, 1))), (-1) ** inversions
+    perms, signs = [], []
+    for t in itertools.permutations(range(1, n_vars + 1), l):
+        w = t + tuple(c for c in range(1, n_vars + 1) if c not in t)
+        perms.append(dict(enumerate(w, 1)))
+        signs.append((-1) ** sum(a > b for a, b in itertools.combinations(w, 2)))
 
-    total = Poly.lincomb(images(), "v")
+    total = Poly.lincomb(zip(g._renamings(perms), signs), "v")
     for p, q in itertools.combinations(range(1, n_vars + 1), 2):
         total = total._div_linear(p, q)
     return total * 2 ** l
@@ -261,5 +262,5 @@ def powersum_image(f: Poly, n_vars: int) -> Poly:
     }
     one = Poly.one("v")
     return f._linear_image(
-        lambda mono: math.prod((psum[n] ** e for n, e in mono), start=one), "v"
+        lambda key: math.prod((psum[n] ** e for n, _, e in _key_vars(key)), start=one), "v"
     )

@@ -15,13 +15,31 @@ Arithmetic does only int work.  A product multiplies the numerators and
 the two denominators; a sum or linear combination goes through _combine,
 the one loop that brings terms to the lcm of their denominators; each
 result is reduced once, by one gcd over all of its numerators.  The
-public terms map still reads as Fractions: it is a read-only view that
-decodes a coefficient when it is read and keeps no copy.  The integer
-form lives in one private base class, _IntegerForm, which knows nothing
-of what a key means; Poly keys are monomials and Tensor keys are pairs of
-monomials.  Code outside this module reads the integer form only through
-the private methods of Poly (_lincomb, _linear_image, _scaled_terms,
-_filtered, _renamed, _div_linear, _canonical_texts).
+integer form lives in one private base class, _IntegerForm, which knows
+nothing of what a key means.
+
+Poly keys are monomials packed into one int each, and Tensor keys are
+pairs of them; qlab.monomial has the layout.  Each variable has a
+one-byte exponent field, so a monomial product is one int addition and
+d/dx_n steps one field down.  An exponent is at most MAX_EXPONENT = 255
+and an index at most MAX_INDEX = 4095: the constructors reject more with
+ValueError, and a product that would pass the exponent bound raises
+OverflowError (an ArithmeticError) after a guard-bit check of its two
+operands, O(n1 + n2), so an exponent never carries into the next field.
+
+The public face stays tuple monomials (Mono): constructors, check_mono,
+coeff and from_mono take them, and terms, canonical_terms, text, JSON
+and pickling give them back.  A key is decoded (_decode) only at that
+boundary: terms is a read-only view that decodes a key, and turns its
+numerator into a Fraction, when it is read, and keeps no copy.  Code
+outside this module reads the integer form only through the private
+methods of Poly (_make, _linear_image, _rescaled, _even_degree_part,
+_renamings, _div_linear, _canonical_texts) and Tensor (_key_terms).
+The maps handed to _linear_image receive packed keys: the per-monomial
+phi_m cache keys on them as they are, and the D^gamma map of the Hirota
+evaluator and the oracle's power-sum image read a key's variables
+(_key_vars) only when they form a new value; none of them builds a
+tuple monomial.
 
 Every value is immutable after construction and every operation is a
 pure function, so values can be shared freely between threads or cached
@@ -34,25 +52,39 @@ is, and LazyMap the package's one map filled on lookup.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable
+from functools import reduce
+from operator import lshift, or_
+from typing import Callable, Hashable, Iterable, Iterator
+
+from .monomial import (  # the monomial names are also read from here
+    EMPTY_MONO,
+    FAMILY_LETTERS,
+    MAX_EXPONENT,
+    MAX_INDEX,
+    ODD_FAMILIES,
+    _STEP,
+    Mono,
+    _check_product,
+    _decode,
+    _field_maxima,
+    _fields,
+    _key_degree,
+    _key_sort,
+    _key_weight,
+    _pack,
+    check_family,
+    check_mono,
+    graded_monomials,
+    mono_degree,
+    mono_mul,
+    mono_sort_key,
+    mono_text,
+    mono_weight,
+)
 
 Scalar = int | Fraction
-
-# A monomial is a tuple of (index, exponent) pairs with strictly increasing
-# indices and every exponent >= 1 (check_mono).  The empty tuple is the
-# constant monomial.
-Mono = tuple[tuple[int, int], ...]
-
-EMPTY_MONO: Mono = ()
-
-# Variable letter used when printing each family.
-FAMILY_LETTERS = {"p": "p", "x": "x", "y": "y", "D": "D", "v": "x"}
-
-# Families restricted to odd variable indices.  The "v" family is the
-# oracle's finite alphabet x_1..x_N and allows any positive index.
-ODD_FAMILIES = frozenset({"p", "x", "y", "D"})
 
 def _fr(value: Scalar) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
@@ -98,87 +130,6 @@ class LazyMap(dict):
     def __missing__(self, key):
         self[key] = value = self.make(self, key)
         return value
-
-
-def check_family(family) -> str:
-    """Return family if it is a variable family of FAMILY_LETTERS, else
-    raise ValueError."""
-    if not (isinstance(family, str) and family in FAMILY_LETTERS):
-        raise ValueError(f"unknown variable family {family!r}")
-    return family
-
-
-def check_mono(mono, family: str = "p") -> Mono:
-    """Return mono if it is a monomial of the family, else raise ValueError.
-
-    A monomial is a tuple of (index, exponent) int pairs with strictly
-    increasing indices >= 1 and exponents >= 1; in ODD_FAMILIES every
-    index is odd.
-    """
-    if not (isinstance(mono, tuple) and all(
-            isinstance(pair, tuple) and len(pair) == 2 and all(isinstance(v, int) for v in pair)
-            for pair in mono)):
-        raise ValueError(f"a monomial is a tuple of (index, exponent) int pairs, got {mono!r}")
-    last = 0
-    for n, e in mono:
-        if n < 1:
-            raise ValueError(f"variable index must be positive, got {n}")
-        if n <= last:
-            raise ValueError(f"monomial indices must strictly increase, got {mono!r}")
-        if family in ODD_FAMILIES and n % 2 == 0:
-            raise ValueError(f"family {family!r} only has odd variable indices, got {n}")
-        if e < 1:
-            raise ValueError(f"exponent of variable {n} must be positive, got {e}")
-        last = n
-    return mono
-
-
-def mono_weight(mono: Mono) -> int:
-    return sum(n * e for n, e in mono)
-
-
-def mono_degree(mono: Mono) -> int:
-    return sum(e for _, e in mono)
-
-
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    if not a:
-        return b
-    if not b:
-        return a
-    out: list[tuple[int, int]] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        na, ea = a[i]
-        nb, eb = b[j]
-        if na == nb:
-            out.append((na, ea + eb))
-            i += 1
-            j += 1
-        elif na < nb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
-
-
-def mono_sort_key(mono: Mono):
-    """Canonical monomial order used for all serialized output.
-
-    Sorts by weight, then by total degree descending, then by descending
-    lexicographic comparison of the (index, exponent) pairs.
-    """
-    return (mono_weight(mono), -mono_degree(mono), tuple((-n, -e) for n, e in mono))
-
-
-def mono_text(mono: Mono, letter: str) -> str:
-    return "*".join(
-        f"{letter}{n}^{e}" if e > 1 else f"{letter}{n}" for n, e in mono
-    )
 
 
 def _combine(parts: Iterable[tuple["_IntegerForm | _Outer", Scalar]]) -> tuple[dict, int]:
@@ -238,35 +189,52 @@ def _signed_sum(terms: Iterable[tuple[str, str]]) -> str:
 
 
 class _Terms(Mapping):
-    """Read-only view of a value's coefficients as Fractions.  Each one is
-    decoded from the integer form when it is read; the view stores no copy."""
+    """Read-only view of a value's coefficients as Fractions on tuple
+    monomials.  Each key and coefficient is decoded from the integer form
+    when it is read; the view stores no copy."""
 
-    __slots__ = ("_nums", "_den")
+    __slots__ = ("_value",)
 
-    def __init__(self, nums: dict, den: int):
-        self._nums = nums
-        self._den = den
+    def __init__(self, value: "_IntegerForm"):
+        self._value = value
 
-    def __getitem__(self, key) -> Fraction:
-        return Fraction(self._nums[key], self._den)
+    def __getitem__(self, mono) -> Fraction:
+        value = self._value
+        try:
+            n = value._nums.get(value._key(mono))
+        except ValueError:
+            n = None
+        if n is None:
+            raise KeyError(mono)
+        return Fraction(n, value._den)
 
     def __iter__(self):
-        return iter(self._nums)
+        return map(self._value._monomial, self._value._nums)
 
     def __len__(self) -> int:
-        return len(self._nums)
+        return len(self._value._nums)
 
-    def __contains__(self, key) -> bool:
-        return key in self._nums
+    def items(self):
+        return _TermItems(self)
 
     def __repr__(self) -> str:
         return f"terms({dict(self.items())!r})"
 
 
+class _TermItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        value = self._mapping._value
+        den, monomial = value._den, value._monomial
+        return ((monomial(key), Fraction(n, den)) for key, n in value._nums.items())
+
+
 class _IntegerForm:
     """A value in the integer form of the module docstring: a dict from key
     to nonzero int numerator, and one shared denominator.  Nothing here
-    depends on what a key means.
+    depends on what a key means beyond _key and _monomial, which a
+    subclass defines to map its public tuple form to a key and back.
 
     A subclass lists its own slots in __slots__; the constructors fill
     them, in that order, from their trailing arguments, and pickling passes
@@ -302,12 +270,12 @@ class _IntegerForm:
 
     def __reduce__(self):
         cls = type(self)
-        return cls, (dict(self.terms), *(getattr(self, name) for name in cls.__slots__))
+        return cls, (dict(self.terms.items()), *(getattr(self, name) for name in cls.__slots__))
 
     @property
     def terms(self) -> Mapping[Hashable, Fraction]:
-        """The coefficients, as a read-only map from key to Fraction."""
-        return _Terms(self._nums, self._den)
+        """The coefficients, as a read-only map from monomial to Fraction."""
+        return _Terms(self)
 
     def _add_to(self, out: dict, s: int) -> dict:
         """out plus the numerators times s, a nonzero int, for _combine;
@@ -340,18 +308,24 @@ class Poly(_IntegerForm):
     '2*p1 + 1/3*p3'
 
     The zero polynomial has no terms; zero coefficients are never stored.
-    The coefficients are integer numerators over one denominator (see the
-    module docstring), and terms reads them as Fractions.  No method
-    mutates self, arithmetic always builds a new value.
+    The coefficients are integer numerators over one denominator on packed
+    monomial keys (see the module docstring), and terms reads them as
+    Fractions on tuple monomials.  No method mutates self, arithmetic
+    always builds a new value.
     """
 
     __slots__ = ("family",)
 
     def __new__(cls, terms: Mapping[Mono, Scalar] | None = None, family: str = "p"):
-        check_family(family)
-        for mono in terms or ():
-            check_mono(mono, family)
-        return super().__new__(cls, terms, family)
+        step = _STEP[check_family(family)]
+        packed = {_pack(check_mono(m, family), step): c for m, c in (terms or {}).items()}
+        return super().__new__(cls, packed, family)
+
+    def _key(self, mono) -> int:
+        return _pack(check_mono(mono, self.family), _STEP[self.family])
+
+    def _monomial(self, key: int) -> Mono:
+        return _decode(key, _STEP[self.family])
 
     @classmethod
     def lincomb(cls, pairs: Iterable[tuple["Poly", Scalar]], family: str = "p") -> "Poly":
@@ -372,35 +346,60 @@ class Poly(_IntegerForm):
         nums, d = _combine(parts())
         return cls._make(nums, d * den, family)
 
-    def _linear_image(self, fn: Callable[[Mono], "Poly"], family: str) -> "Poly":
-        """The image of self under the linear map that sends each monomial
-        m to fn(m), a polynomial of the given family."""
-        return Poly._lincomb(((fn(m), n) for m, n in self._nums.items()), family, self._den)
+    def _linear_image(self, fn: Callable[[int], "Poly"], family: str) -> "Poly":
+        """The image of self under the linear map that sends each monomial,
+        given to fn as its packed key, to fn(key), a polynomial of the
+        given family."""
+        return Poly._lincomb(((fn(k), n) for k, n in self._nums.items()), family, self._den)
 
-    def _scaled_terms(self, scale: Callable[[Mono], Scalar], family: str) -> "Poly":
-        """The polynomial of the given family whose coefficient on each
-        monomial m is this one's times scale(m), a nonzero scalar."""
-        factors = [(m, n, _fr(scale(m))) for m, n in self._nums.items()]
-        lcm = math.lcm(*(r.denominator for _, _, r in factors))
+    def _scaled(self, factor: Callable[[int], Scalar]) -> tuple[dict, int]:
+        """The numerators and denominator of self with each variable v_n
+        replaced by factor(n) * v_n, not reduced; factor is called once per
+        variable present.  Over the product of each factor's denominator
+        to the highest power any monomial takes it, each term's scale is
+        an integer."""
+        step = _STEP[self.family]
+        top = _field_maxima(self._nums)
+        ratios = [_fr(factor(i * step + 1)) if e else Fraction(1) for i, e in enumerate(top)]
+        nums = [r.numerator for r in ratios]
+        dens = [r.denominator for r in ratios]
+        den = math.prod(map(pow, dens, top))
+        out = {}
+        for key, n in self._nums.items():
+            exps = _fields(key)
+            out[key] = n * math.prod(map(pow, nums, exps)) * (den // math.prod(map(pow, dens, exps)))
+        return out, self._den * den
+
+    def _rescaled(self, factor: Callable[[int], Scalar], family: str) -> "Poly":
+        """Self with each variable v_n replaced by factor(n) * w_n, a nonzero
+        scalar times the variable of the same index in the given family,
+        whose keys must be laid out as self's are."""
+        if _STEP[family] != _STEP[self.family]:
+            raise ValueError(f"{family!r} keys are laid out unlike {self.family!r} keys")
+        return Poly._make(*self._scaled(factor), family)
+
+    def _filtered(self, keep: Callable[[int], bool]) -> "Poly":
+        """The terms whose packed key satisfies keep."""
         return Poly._make(
-            {m: n * r.numerator * (lcm // r.denominator) for m, n, r in factors},
-            self._den * lcm, family,
+            {k: n for k, n in self._nums.items() if keep(k)}, self._den, self.family
         )
 
-    def _filtered(self, keep: Callable[[Mono], bool]) -> "Poly":
-        """The terms whose monomial satisfies keep."""
-        return Poly._make(
-            {m: n for m, n in self._nums.items() if keep(m)}, self._den, self.family
-        )
+    def _even_degree_part(self) -> "Poly":
+        """The terms of even total degree."""
+        return self._filtered(lambda k: not _key_degree(k) & 1)
 
-    def _renamed(self, perm: Mapping[int, int]) -> "Poly":
-        """Self with each variable index n replaced by perm[n].  perm must
-        be injective on the indices present, so monomials map one to one
-        and no coefficients combine."""
-        return Poly._make(
-            {tuple(sorted([(perm[n], e) for n, e in m])): c for m, c in self._nums.items()},
-            self._den, self.family,
-        )
+    def _renamings(self, perms: Iterable[Mapping[int, int]]) -> Iterator["Poly"]:
+        """Self with each variable index n replaced by perm[n], for each
+        perm in turn.  perm must be injective on the indices present, so
+        monomials map one to one and no coefficients combine.  The keys
+        are taken apart once: each perm gives one shift per slot, and each
+        renamed key is the sum of its exponents shifted to their new slots."""
+        step, den, family = _STEP[self.family], self._den, self.family
+        rows = [(_fields(k), n) for k, n in self._nums.items()]
+        top = _fields(reduce(or_, self._nums, 0))
+        for perm in perms:
+            shifts = [(perm[i * step + 1] - 1) // step << 3 if e else 0 for i, e in enumerate(top)]
+            yield Poly._make({sum(map(lshift, exps, shifts)): n for exps, n in rows}, den, family)
 
     def _div_linear(self, p: int, q: int) -> "Poly":
         """The exact quotient of self by (x_p - x_q).
@@ -409,21 +408,28 @@ class Poly(_IntegerForm):
         G_(d-1) = F_d + x_q G_d, taken from the top degree down; the last
         step F_0 + x_q G_0 is the remainder, and a nonzero one raises.  The
         divisor is monic, so the division runs on the numerators and keeps
-        the denominator.
+        the denominator.  Each step raises the x_q exponents by one, so the
+        bound is checked once, on self's x_q exponent plus its x_p degree.
         """
+        step = _STEP[self.family]
+        sp, sq = (p - 1) // step << 3, (q - 1) // step << 3
         slices: dict[int, list] = {}
-        for mono, c in self._nums.items():
-            d = next((e for n, e in mono if n == p), 0)
-            rest = tuple(t for t in mono if t[0] != p) if d else mono
-            slices.setdefault(d, []).append((rest, c))
-        uq = ((q, 1),)
+        top_q = 0
+        for key, c in self._nums.items():
+            d = key >> sp & 0xFF
+            slices.setdefault(d, []).append((key - (d << sp), c))
+            top_q = max(top_q, key >> sq & 0xFF)
+        top_p = max(slices, default=0)
+        if top_q + top_p > MAX_EXPONENT:
+            raise OverflowError(f"dividing by x{p} - x{q} passes exponent {MAX_EXPONENT}")
+        uq = 1 << sq
         out: dict = {}
         g: dict = {}
-        for d in range(max(slices, default=0), -1, -1):
-            g = accumulate({mono_mul(m, uq): c for m, c in g.items()}, slices.get(d, ()))
+        for d in range(top_p, -1, -1):
+            g = accumulate({k + uq: c for k, c in g.items()}, slices.get(d, ()))
             if d:
-                up = ((p, d - 1),) if d > 1 else ()
-                accumulate(out, ((mono_mul(m, up), c) for m, c in g.items()))
+                up = d - 1 << sp
+                accumulate(out, ((k + up, c) for k, c in g.items()))
         if g:
             raise ArithmeticError(f"division by x{p} - x{q} left a remainder")
         return Poly._make(out, self._den, self.family)
@@ -434,7 +440,7 @@ class Poly(_IntegerForm):
 
     @classmethod
     def one(cls, family: str = "p") -> "Poly":
-        return cls._make({EMPTY_MONO: 1}, 1, check_family(family))
+        return cls._make({0: 1}, 1, check_family(family))
 
     @classmethod
     def const(cls, value: Scalar, family: str = "p") -> "Poly":
@@ -442,23 +448,23 @@ class Poly(_IntegerForm):
 
     @classmethod
     def variable(cls, n: int, family: str = "p", exponent: int = 1) -> "Poly":
-        return cls._make({check_mono(((n, exponent),), check_family(family)): 1}, 1, family)
+        return cls.from_mono(((n, exponent),), 1, family)
 
     @classmethod
     def from_mono(cls, mono: Mono, coef: Scalar = 1, family: str = "p") -> "Poly":
-        check_mono(mono, check_family(family))
+        key = _pack(check_mono(mono, check_family(family)), _STEP[family])
         c = _fr(coef)
-        return cls._make({mono: c.numerator} if c else {}, c.denominator, family)
+        return cls._make({key: c.numerator} if c else {}, c.denominator, family)
 
     # ------------------------------------------------------------------
     def _is_const(self) -> bool:
-        return not self._nums or (len(self._nums) == 1 and EMPTY_MONO in self._nums)
+        return not self._nums or (len(self._nums) == 1 and 0 in self._nums)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
                 return not self._nums
-            return (len(self._nums) == 1 and self._nums.get(EMPTY_MONO) == other.numerator
+            return (len(self._nums) == 1 and self._nums.get(0) == other.numerator
                     and self._den == other.denominator)
         equal = super().__eq__(other)
         if equal is not True:
@@ -496,9 +502,11 @@ class Poly(_IntegerForm):
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_family(other)
-        right = other._nums.items()
+        left, right = self._nums, other._nums
+        _check_product(left, right, _STEP[self.family])
+        right = right.items()
         out = accumulate({}, (
-            (mono_mul(m1, m2), n1 * n2) for m1, n1 in self._nums.items() for m2, n2 in right
+            (k1 + k2, n1 * n2) for k1, n1 in left.items() for k2, n2 in right
         ))
         return Poly._make(out, self._den * other._den, self.family)
 
@@ -528,39 +536,46 @@ class Poly(_IntegerForm):
         """Partial derivative with respect to the variable of index n."""
         if n < 1 or (self.family in ODD_FAMILIES and n % 2 == 0):
             raise ValueError(f"cannot differentiate family {self.family!r} by index {n}")
-        items = []
-        for mono, c in self._nums.items():
-            for i, (idx, e) in enumerate(mono):
-                if idx == n:
-                    lowered = ((idx, e - 1),) if e > 1 else ()
-                    items.append((mono[:i] + lowered + mono[i + 1:], c * e))
-                    break
-        return Poly._make(accumulate({}, items), self._den, self.family)
+        if n > MAX_INDEX:
+            return Poly.zero(self.family)
+        shift = (n - 1) // _STEP[self.family] << 3
+        unit = 1 << shift
+        return Poly._make(
+            {k - unit: c * e for k, c in self._nums.items() if (e := k >> shift & 0xFF)},
+            self._den, self.family,
+        )
 
     def weight(self) -> int:
         """Largest monomial weight present (0 for the zero polynomial)."""
-        return max((mono_weight(m) for m in self._nums), default=0)
+        step = _STEP[self.family]
+        return max((_key_weight(k, step) for k in self._nums), default=0)
 
     def degree(self) -> int:
-        return max((mono_degree(m) for m in self._nums), default=0)
+        return max(map(_key_degree, self._nums), default=0)
 
     def weight_part(self, w: int) -> "Poly":
         """The homogeneous component of weight w."""
-        return self._filtered(lambda m: mono_weight(m) == w)
+        step = _STEP[self.family]
+        return self._filtered(lambda k: _key_weight(k, step) == w)
 
     def truncate(self, w: int) -> "Poly":
         """Drop every monomial of weight greater than w."""
-        return self._filtered(lambda m: mono_weight(m) <= w)
+        step = _STEP[self.family]
+        return self._filtered(lambda k: _key_weight(k, step) <= w)
 
     def subs_zero(self, n: int) -> "Poly":
         """Set the variable of index n to zero."""
-        return self._filtered(lambda m: all(idx != n for idx, _ in m))
+        if n < 1 or n > MAX_INDEX or (n - 1) % _STEP[self.family]:
+            return self
+        shift = (n - 1) // _STEP[self.family] << 3
+        return self._filtered(lambda k: not k >> shift & 0xFF)
 
     def support_indices(self) -> set[int]:
-        return {idx for mono in self._nums for idx, _ in mono}
+        step = _STEP[self.family]
+        return {i * step + 1 for i, e in enumerate(_fields(reduce(or_, self._nums, 0))) if e}
 
     def coeff(self, mono: Mono) -> Fraction:
-        return Fraction(self._nums.get(mono, 0), self._den)
+        return self.terms.get(mono, Fraction(0))
 
     def evaluate(self, values: Mapping[int, Scalar]) -> Fraction:
         """Evaluate at a full assignment of rational values to variables.
@@ -568,33 +583,31 @@ class Poly(_IntegerForm):
         The sum is formed in integers over one denominator: the product
         of each variable's value denominator to the highest power any
         monomial takes it."""
-        top: dict[int, int] = {}
-        for mono in self._nums:
-            for n, e in mono:
-                if n not in values:
-                    raise ValueError(f"no value supplied for variable index {n}")
-                top[n] = max(top.get(n, 0), e)
-        vals = {n: _fr(values[n]) for n in top}
-        den = math.prod(vals[n].denominator ** e for n, e in top.items())
-        total = 0
-        for mono, num in self._nums.items():
-            d = 1
-            for n, e in mono:
-                num *= vals[n].numerator ** e
-                d *= vals[n].denominator ** e
-            total += num * (den // d)
-        return Fraction(total, den * self._den)
+
+        def value(n: int) -> Scalar:
+            if n not in values:
+                raise ValueError(f"no value supplied for variable index {n}")
+            return values[n]
+
+        nums, den = self._scaled(value)
+        return Fraction(sum(nums.values()), den)
 
     # ------------------------------------------------------------------
     def canonical_terms(self) -> list[tuple[Mono, Fraction]]:
-        terms = self.terms
-        return [(m, terms[m]) for m in sorted(self._nums, key=mono_sort_key)]
+        den = self._den
+        return [(m, Fraction(n, den)) for m, n in self._sorted_terms()]
+
+    def _sorted_terms(self) -> list[tuple[Mono, int]]:
+        """(monomial, numerator) pairs in the canonical monomial order."""
+        step = _STEP[self.family]
+        items = sorted(self._nums.items(), key=lambda item: _key_sort(item[0], step))
+        return [(_decode(k, step), n) for k, n in items]
 
     def _canonical_texts(self) -> list[tuple[Mono, str]]:
         """canonical_terms with each coefficient as str() prints its
         Fraction, formatted from the integer form."""
-        nums, den = self._nums, self._den
-        return [(m, _ratio_text(nums[m], den)) for m in sorted(nums, key=mono_sort_key)]
+        den = self._den
+        return [(m, _ratio_text(n, den)) for m, n in self._sorted_terms()]
 
     def text(self, letter: str | None = None) -> str:
         """Canonical text form, e.g. '4/3*p1^3 - 4/3*p3'."""
@@ -629,20 +642,31 @@ class Tensor(_IntegerForm):
     """An element of the tensor square of the p-ring.
 
     Coefficients on pairs (left monomial, right monomial) are stored as
-    integer numerators over one denominator, like those of a Poly, and
-    terms reads them as Fractions.  Used by the neutral-fermion module for
-    two-sided operators.
+    integer numerators over one denominator on pairs of packed keys, like
+    those of a Poly, and terms reads them as Fractions on pairs of tuple
+    monomials.  Used by the neutral-fermion module for two-sided
+    operators.
     """
 
     __slots__ = ()
 
     def __new__(cls, terms: Mapping[tuple[Mono, Mono], Scalar] | None = None):
-        for key in terms or ():
-            if not (isinstance(key, tuple) and len(key) == 2):
-                raise ValueError(f"a tensor key is a pair of monomials, got {key!r}")
-            for leg in key:
-                check_mono(leg)
-        return super().__new__(cls, terms)
+        return super().__new__(cls, {cls._key(pair): c for pair, c in (terms or {}).items()})
+
+    @staticmethod
+    def _key(pair) -> tuple[int, int]:
+        if not (isinstance(pair, tuple) and len(pair) == 2):
+            raise ValueError(f"a tensor key is a pair of monomials, got {pair!r}")
+        return _pack(check_mono(pair[0]), 2), _pack(check_mono(pair[1]), 2)
+
+    @staticmethod
+    def _monomial(keys: tuple[int, int]) -> tuple[Mono, Mono]:
+        return _decode(keys[0], 2), _decode(keys[1], 2)
+
+    def _key_terms(self) -> Iterator[tuple[int, int, Fraction]]:
+        """(left key, right key, coefficient) for every term."""
+        den = self._den
+        return ((kl, kr, Fraction(n, den)) for (kl, kr), n in self._nums.items())
 
     @classmethod
     def lincomb(cls, triples: Iterable[tuple[Poly, Poly, Scalar]]) -> "Tensor":
@@ -681,12 +705,13 @@ class Tensor(_IntegerForm):
 
     def text(self) -> str:
         den = self._den
-        keys = sorted(self._nums, key=lambda k: (mono_sort_key(k[0]), mono_sort_key(k[1])))
-        return _signed_sum(
-            (_ratio_text(self._nums[(ml, mr)], den),
-             f"({mono_text(ml, 'p') if ml else '1'} (x) {mono_text(mr, 'p') if mr else '1'})")
-            for ml, mr in keys
-        )
+        pieces = []
+        for keys, n in sorted(self._nums.items(), key=lambda item: tuple(map(_key_sort, item[0]))):
+            ml, mr = self._monomial(keys)
+            pieces.append((_ratio_text(n, den),
+                           f"({mono_text(ml, 'p') if ml else '1'} (x) "
+                           f"{mono_text(mr, 'p') if mr else '1'})"))
+        return _signed_sum(pieces)
 
     def __repr__(self) -> str:
         return f"Tensor({self.text()})"
@@ -711,25 +736,6 @@ def tensor_map(t: Tensor, side: str, fn: Callable[[Poly], Poly]) -> Tensor:
          Poly.from_mono(mr) if left else fn(Poly.from_mono(mr)), c)
         for (ml, mr), c in t.terms.items()
     )
-
-
-def graded_monomials(max_weight: int) -> list[Mono]:
-    """All monomials in odd-indexed variables of weight <= max_weight."""
-    if max_weight < 0:
-        return []
-    out: list[Mono] = []
-
-    def rec(start: int, budget: int, acc: tuple[tuple[int, int], ...]) -> None:
-        out.append(acc)
-        n = start
-        while n <= budget:
-            for e in range(1, budget // n + 1):
-                rec(n + 2, budget - n * e, acc + ((n, e),))
-            n += 2
-
-    rec(1, max_weight, EMPTY_MONO)
-    out.sort(key=mono_sort_key)
-    return out
 
 
 def strict_partitions(max_sum: int) -> list[tuple[int, ...]]:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ring import Mono, Poly, accumulate, check_mono
+from .monomial import Mono, check_mono
+from .ring import Poly, accumulate
 
 ALLOWED_FAMILIES = ("p", "x", "y", "D")
 

@@ -269,3 +269,17 @@ def test_qa_vector_with_negative_first_entry_is_rejected(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: index vector must have positive entries: '-3,2'\n"
+
+
+def test_exponent_past_the_bound_exits_2(tmp_path, capsys):
+    # 256 is rejected when the file is read; x1^200 when the y3^2
+    # equation would multiply two derivatives of it.
+    path = tmp_path / "tau.json"
+    for exponent, code in ((256, 2), (200, 2), (3, 1)):
+        path.write_text(json.dumps({"vars": "p", "terms": [
+            {"mono": {"1": exponent}, "coef": "1"}]}))
+        result = run_cli(capsys, "check-bkp", "--tau", f"json:{path}", "--max-weight", "6")
+        assert result[0] == code
+        if code == 2:
+            assert result[1] == "" and result[2].startswith("error: ")
+            assert "exceeds 255" in result[2]

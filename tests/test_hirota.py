@@ -16,13 +16,14 @@ from qlab import (
     exp_series,
     hirota_apply,
     hirota_apply_taylor,
+    is_bkp_tau_bilinear,
     multiparam_q,
     p_to_x,
     q_lambda,
     schur_q_row,
     x_to_p,
 )
-from qlab import hirota
+from qlab import fermion, hirota, ring
 from qlab.ring import mono_degree, mono_sort_key, mono_text, mono_weight
 
 from conftest import rand_poly
@@ -240,3 +241,33 @@ def test_bkp_check_trivial_equations_reported():
     assert report.passed
     assert "y1" in report.trivial
     assert "y1*y3" in report.trivial
+
+
+def test_verifiers_and_construction_decode_no_key(monkeypatch):
+    """With the hierarchy slices cached, building a Q-function and both
+    verifiers work on packed monomial keys throughout: no tuple monomial
+    is merged and no key is decoded back into one."""
+    bkp_generate(12)
+    for cached in (fermion._q_lambda, fermion._phi_mono, fermion._shift_coeffs):
+        cached.cache_clear()
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(ring, "mono_mul")
+    counted(hirota, "mono_mul")
+    counted(ring, "_decode")
+    tau = q_lambda((7, 5))
+    assert is_bkp_tau_bilinear(tau)[0]
+    assert bkp_check(tau, 12).passed
+    assert calls == []
+    # The boundary does decode, so the counter is live.
+    assert tau.text().startswith("16/14175*p1^12 + ")
+    assert calls.count("_decode") == len(tau.terms)

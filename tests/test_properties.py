@@ -31,6 +31,8 @@ from qlab import (
     tensor_map,
     tensor_of,
 )
+from qlab import monomial
+from qlab.monomial import MAX_EXPONENT, mono_degree, mono_sort_key, mono_weight
 from qlab.ring import accumulate
 
 deterministic = settings(derandomize=True, deadline=None, database=None)
@@ -307,8 +309,13 @@ def test_json_round_trip(f):
 def test_rename_and_linear_division_invert(f, pq):
     p, q = pq
     swap = {1: 5, 3: 3, 5: 1}
-    assert f._renamed(swap)._renamed(swap) == f
-    assert dict(f._renamed(swap).terms) == {
+
+    def renamed(g):
+        (image,) = g._renamings([swap])
+        return image
+
+    assert renamed(renamed(f)) == f
+    assert dict(renamed(f).terms) == {
         tuple(sorted((swap[n], e) for n, e in m)): c for m, c in f.terms.items()
     }
     multiple = f * (Poly.variable(p, "v") - Poly.variable(q, "v"))
@@ -337,3 +344,56 @@ def test_multiparam_antisymmetry(alpha, params, data):
     assert multiparam_q(swapped, a) == -multiparam_q(alpha, a)
     repeated = [*alpha[:i + 1], alpha[i], *alpha[i + 2:]]
     assert multiparam_q(repeated, a).is_zero()
+
+
+# Packed monomial keys: encoding and decoding, products and the canonical
+# order against the tuple-monomial reference.
+
+def family_monos(family, max_index=40, max_exponent=255):
+    """Monomials of the family: odd indices, or any index for "v"."""
+    step = 1 if family == "v" else 2
+    indices = st.integers(0, (max_index - 1) // step).map(lambda i: i * step + 1)
+    return st.dictionaries(indices, st.integers(1, max_exponent), max_size=5).map(
+        lambda d: tuple(sorted(d.items()))
+    )
+
+
+@deterministic
+@given(st.sampled_from(["p", "x", "y", "D", "v"]).flatmap(
+    lambda fam: st.tuples(st.just(fam), family_monos(fam), family_monos(fam, max_exponent=127))))
+def test_packed_keys_round_trip_and_multiply(case):
+    family, m1, m2 = case
+    step = 1 if family == "v" else 2
+    key = monomial._pack(m1, step)
+    assert monomial._decode(key, step) == m1
+    assert monomial._key_weight(key, step) == mono_weight(m1)
+    assert monomial._key_degree(key) == mono_degree(m1)
+    f = Poly.from_mono(m1, Fraction(2, 3), family)
+    assert dict(f.terms) == {m1: Fraction(2, 3)} and list(f.terms) == [m1]
+    # m2's exponents are at most 127, so only fields of m1 can reach the bound.
+    g = Poly.from_mono(m2, 5, family)
+    product = ref_mono_mul(m1, m2)
+    if max((e for _, e in product), default=0) <= MAX_EXPONENT:
+        assert dict((f * g).terms) == {product: Fraction(10, 3)}
+    else:
+        with pytest.raises(ArithmeticError):
+            f * g
+
+
+@deterministic
+@given(family_monos("p"), family_monos("p"), wide_coefs.filter(bool))
+def test_tensor_keys_round_trip(ml, mr, c):
+    t = Tensor({(ml, mr): c})
+    assert dict(t.terms) == {(ml, mr): c}
+    assert t.terms[(ml, mr)] == c and (ml, mr) in t.terms
+    assert pickle.loads(pickle.dumps(t)) == t
+    assert t == tensor_of(Poly.from_mono(ml, c), Poly.from_mono(mr))
+
+
+@deterministic
+@given(st.sampled_from(["p", "v"]).flatmap(
+    lambda fam: st.tuples(st.just(fam), st.lists(family_monos(fam, 12, 4), max_size=12))))
+def test_canonical_order_of_packed_keys(case):
+    family, monos_ = case
+    f = Poly({m: 1 for m in monos_}, family)
+    assert [m for m, _ in f.canonical_terms()] == sorted(set(monos_), key=mono_sort_key)

@@ -26,6 +26,8 @@ from qlab import (
     tensor_of,
 )
 
+from qlab.monomial import MAX_EXPONENT, MAX_INDEX, check_mono
+
 from conftest import rand_fraction, rand_poly
 
 
@@ -370,3 +372,40 @@ def test_values_copy_and_pickle():
             assert type(twin) is type(value)
             assert twin == value
             assert getattr(twin, "family", None) == getattr(value, "family", None)
+
+
+def test_exponent_bound():
+    x = Poly.variable(1)
+    top = Poly.variable(1, exponent=MAX_EXPONENT)
+    assert MAX_EXPONENT == 255
+    assert top.terms == {((1, MAX_EXPONENT),): 1}
+    assert x**MAX_EXPONENT == top
+    assert (x**200 * x**55) == top
+    for build in (lambda: Poly.variable(1, exponent=256), lambda: Poly({((3, 256),): 1}),
+                  lambda: Poly.from_mono(((1, 1), (5, 300))), lambda: check_mono(((1, 256),)),
+                  lambda: Tensor({((), ((1, 256),)): 1}),
+                  lambda: poly_from_json_dict({"vars": "p", "terms": [
+                      {"mono": {"1": 256}, "coef": "1"}]})):
+        with pytest.raises(ValueError, match="exceeds 255"):
+            build()
+    # One past the bound raises and never carries into the next field.
+    for build in (lambda: top * x, lambda: x**256, lambda: x ** (2**40),
+                  lambda: x**200 * x**56, lambda: (x**130 + Poly.variable(3)) * x**126):
+        with pytest.raises(ArithmeticError):
+            build()
+    # Guard bits set in different fields, or on one side only, still fit.
+    y = Poly.variable(3, exponent=128)
+    assert (x**128 * y).terms == {((1, 128), (3, 128)): 1}
+    assert ((x**130 + Poly.variable(3)) * x**125).weight() == 255
+    assert (top * Poly.variable(3, exponent=MAX_EXPONENT)).degree() == 2 * MAX_EXPONENT
+
+
+def test_index_bound():
+    for family in ("p", "v"):
+        f = Poly.variable(MAX_INDEX, family)
+        assert f.support_indices() == {MAX_INDEX}
+        assert f.diff(MAX_INDEX) == 1 and f.subs_zero(MAX_INDEX).is_zero()
+        assert f.diff(MAX_INDEX + 2).is_zero() and f.subs_zero(MAX_INDEX + 2) == f
+        for n in (MAX_INDEX + 2, 10**12 + 1):
+            with pytest.raises(ValueError, match="exceeds"):
+                Poly.variable(n, family)
