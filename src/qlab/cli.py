@@ -18,7 +18,8 @@ Subcommands:
       Verify the generated hierarchy equations for a tau function.
 
   oracle-compare [--max-sum K] [--nvars N] [--points P] [--seed S] [--params SEQ]
-      Compare operator constructions against the brute-force oracle.
+      Compare operator constructions against the brute-force oracle at
+      P random rational points, 1 <= P <= MAX_POINTS (100).
 
 Tau functions are given as 'q:2,1', 'qa:2,1@0,1,2', 'qa:2,1@factorial',
 or 'json:FILE'.  Parameter sequences are comma-separated rationals
@@ -49,6 +50,9 @@ from .oracle import MAX_VARS, eval_powersums, q_sym_at, qa_sym_at
 from .ring import Poly, strict_partitions
 from .serialize import poly_from_json_dict, poly_to_json_dict
 from .series import ParamSeq
+
+# The most random points one oracle-compare run evaluates.
+MAX_POINTS = 100
 
 
 def _parse_vector(text: str, positive: bool = False) -> tuple[int, ...]:
@@ -198,6 +202,8 @@ def _cmd_oracle_compare(args) -> int:
         raise ValueError("--max-sum must be positive")
     if args.points < 1:
         raise ValueError("--points must be positive")
+    if args.points > MAX_POINTS:
+        raise ValueError(f"--points must be at most {MAX_POINTS}")
     _weight_cap(args.max_sum)
     rng = random.Random(args.seed)
     points = [_random_point(rng, args.nvars) for _ in range(args.points)]
@@ -275,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="compare against the brute-force oracle")
     p_oc.add_argument("--max-sum", type=int, default=5)
     p_oc.add_argument("--nvars", type=int, default=4)
-    p_oc.add_argument("--points", type=int, default=2)
+    p_oc.add_argument("--points", type=int, default=2,
+                      help=f"number of random points, at most {MAX_POINTS}")
     p_oc.add_argument("--seed", type=int, default=20260818)
     p_oc.add_argument("--params", default=None)
     p_oc.set_defaults(func=_cmd_oracle_compare)

@@ -32,7 +32,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import compress, zip_longest
 from operator import mul, or_
-from typing import Iterable
+from collections.abc import Iterable
 
 # A monomial is a tuple of (index, exponent) pairs with strictly increasing
 # indices and every exponent >= 1 (check_mono).  The empty tuple is the

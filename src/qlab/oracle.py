@@ -26,7 +26,15 @@ is evaluated by two routes, each a cross-check of the other:
   image of the fermionic construction and uses it for identities between
   polynomials (antisymmetry, vanishing).
 - Pointwise (q_sym_at, qa_sym_at): the sum is evaluated directly at a
-  rational point.  Where two coordinates coincide the formula divides by
+  rational point, in integers.  The point and the shifts are multiplied
+  by one common denominator d, which leaves every ratio
+  (x_i + x_j)/(x_i - x_j) as it is and multiplies every row by
+  d^(its degree).  Each tuple's term is then an integer numerator over its
+  product of differences, which divides the Vandermonde product V of the
+  scaled point, so the terms are summed as integers over V and the value
+  is one fraction, 2^l * total / (V * d^deg).  This route walks the tuples
+  themselves and does not use the relabeling identity of the symbolic
+  one.  Where two coordinates coincide the formula divides by
   zero, so the value F(x) is read off g(e) = F(x + e*v), v = (1, ..., N):
   g is a polynomial in e of degree at most deg F, evaluated at deg F + 1
   positive integers e at which all coordinates are distinct and
@@ -84,52 +92,74 @@ def _sym_sum(shifts: list[tuple[Fraction, ...]], n_vars: int) -> Poly:
     return total * 2 ** l
 
 
-def _sym_at(shifts: list[tuple[Fraction, ...]], xs: list[Fraction]) -> Fraction:
-    """The symmetrization formula at a point with distinct coordinates.
+def _times(d: int, values) -> list[int]:
+    """d * v for each Fraction v, for a common multiple d of their denominators."""
+    return [v.numerator * (d // v.denominator) for v in values]
+
+
+def _sym_at(shifts: list[list[int]], xs: list[int], scale: int) -> Fraction:
+    """The symmetrization formula at an integer point with distinct
+    coordinates, for integer shifts, divided by scale.
 
     Slot k's row is the product of (x - s) over s in shifts[k].  Tuples are
     walked slot by slot, so a prefix's product is shared by its
-    extensions, and a prefix whose product vanishes is dropped.
+    extensions, and a prefix whose product vanishes is dropped.  A tuple's
+    numerator is its rows times its (x_i + x_j) factors, and its
+    denominator is its product of differences, which divides the
+    Vandermonde product V; the terms are summed in integers over V.
     """
-    ratio = [[(xi + xj) / (xi - xj) if i != j else None for j, xj in enumerate(xs)]
-             for i, xi in enumerate(xs)]
-    vals = [[math.prod((x - s for s in slot), start=_ONE) for x in xs] for slot in shifts]
+    n = len(xs)
+    plus = [[xi + xj for xj in xs] for xi in xs]
+    minus = [[xi - xj for xj in xs] for xi in xs]
+    vandermonde = math.prod(minus[i][j] for i, j in itertools.combinations(range(n), 2))
+    vals = [[math.prod(x - s for s in slot) for x in xs] for slot in shifts]
 
-    def walk(k: int, free: list[int], acc: Fraction) -> Fraction:
+    def walk(k: int, free: list[int], num: int, den: int) -> int:
         if k == len(shifts):
-            return acc
-        total = _ZERO
+            return num * (vandermonde // den)
+        total = 0
         for i in free:
-            term = acc * vals[k][i]
+            term = num * vals[k][i]
             if not term:
                 continue
             rest = [j for j in free if j != i]
+            diffs = den
             for j in rest:
-                term *= ratio[i][j]
-            total += walk(k + 1, rest, term)
+                term *= plus[i][j]
+                diffs *= minus[i][j]
+            total += walk(k + 1, rest, term, diffs)
         return total
 
-    return 2 ** len(shifts) * walk(0, list(range(len(xs))), _ONE)
+    return Fraction(2 ** len(shifts) * walk(0, list(range(n)), 1, 1), vandermonde * scale)
 
 
 def _evaluate(shifts: list[tuple[Fraction, ...]], xs: list[Scalar]) -> Fraction:
-    """_sym_at at any point, interpolating along x + e*(1, ..., N) where
-    coordinates coincide (see the module docstring)."""
+    """The symmetrization formula at any rational point.
+
+    The point and the shifts are scaled by one common denominator d, so
+    that _sym_at runs in integers; the value is that of the scaled
+    formula over d^deg.  Where coordinates coincide, the value is
+    interpolated along x + e*(1, ..., N) (see the module docstring).
+    """
     xs = [Fraction(x) for x in xs]
-    if len(set(xs)) == len(xs):
-        return _sym_at(shifts, xs)
+    d = math.lcm(*(v.denominator for v in itertools.chain(xs, *shifts)))
+    points = _times(d, xs)
+    rows = [_times(d, slot) for slot in shifts]
     degree = sum(len(slot) for slot in shifts)
+    scale = d ** degree
+    if len(set(points)) == len(points):
+        return _sym_at(rows, points, scale)
     nodes: list[int] = []
     e = 0
     while len(nodes) <= degree:
         e += 1
-        if len({x + e * v for v, x in enumerate(xs, 1)}) == len(xs):
+        if len({x + e * d * v for v, x in enumerate(points, 1)}) == len(points):
             nodes.append(e)
     total = _ZERO
     for e in nodes:
         weight = math.prod((Fraction(f, f - e) for f in nodes if f != e), start=_ONE)
-        total += weight * _sym_at(shifts, [x + e * v for v, x in enumerate(xs, 1)])
-    return total
+        total += weight * _sym_at(rows, [x + e * d * v for v, x in enumerate(points, 1)], 1)
+    return total / scale
 
 
 def _check_nvars(n_vars: int):
@@ -247,7 +277,10 @@ def eval_powersums(f: Poly, xs: list[Scalar]) -> Fraction:
     if f.family != "p":
         raise ValueError("expected a power-sum polynomial")
     vals = [Fraction(x) for x in xs]
-    return f.evaluate({n: sum((x ** n for x in vals), _ZERO) for n in f.support_indices()})
+    d = math.lcm(*(x.denominator for x in vals))
+    scaled = _times(d, vals)
+    return f.evaluate({n: Fraction(sum(x ** n for x in scaled), d ** n)
+                       for n in f.support_indices()})
 
 
 def powersum_image(f: Poly, n_vars: int) -> Poly:

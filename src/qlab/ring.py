@@ -52,11 +52,10 @@ is, and LazyMap the package's one map filled on lookup.
 from __future__ import annotations
 
 import math
-from collections.abc import ItemsView, Mapping
+from collections.abc import Callable, Hashable, ItemsView, Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import reduce
 from operator import lshift, or_
-from typing import Callable, Hashable, Iterable, Iterator
 
 from .monomial import (  # the monomial names are also read from here
     EMPTY_MONO,

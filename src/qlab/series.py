@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .ring import Poly, Scalar, _frozen
 

@@ -10,6 +10,7 @@ import pytest
 from qlab import (
     ParamSeq,
     Poly,
+    HierarchyReport,
     bkp_check,
     bkp_generate,
     equation_listing,
@@ -241,6 +242,30 @@ def test_bkp_check_trivial_equations_reported():
     assert report.passed
     assert "y1" in report.trivial
     assert "y1*y3" in report.trivial
+
+
+def test_hierarchy_report_fields_equality_and_repr():
+    """A plain class with the fields, equality and repr text that the
+    dataclass declaration of the report had."""
+    first = HierarchyReport(max_weight=4, checked=0)
+    second = HierarchyReport(max_weight=4, checked=0)
+    assert first.trivial == [] and first.failures == {}
+    assert first.trivial is not second.trivial
+    assert first.failures is not second.failures
+    assert first == second and not first != second
+    first.trivial.append("y1")
+    assert second.trivial == [] and first != second
+    assert first != (4, 0, ["y1"], {})
+    assert repr(second) == "HierarchyReport(max_weight=4, checked=0, trivial=[], failures={})"
+    assert second.passed
+    full = HierarchyReport(max_weight=6, checked=2, trivial=["y1"],
+                           failures={"y3^2": Poly.variable(1, "x") * F(-12)})
+    assert not full.passed
+    assert repr(full) == ("HierarchyReport(max_weight=6, checked=2, trivial=['y1'], "
+                          "failures={'y3^2': Poly[x](-12*x1)})")
+    assert full == HierarchyReport(6, 2, ["y1"], {"y3^2": Poly.variable(1, "x") * -12})
+    with pytest.raises(TypeError):
+        hash(full)
 
 
 def test_verifiers_and_construction_decode_no_key(monkeypatch):

@@ -146,6 +146,37 @@ def test_pointwise_matches_symbolic():
                     assert qa_sym_at(lam, a, xs) == asym.evaluate(vals), (lam, a, xs)
 
 
+def test_pointwise_scaling_to_integers():
+    """The pointwise route scales the point and the shifts to one common
+    denominator; these inputs would expose a wrong scale: mixed and
+    negative denominators, parameters whose denominators divide none of
+    the point's, coordinates equal to a shift (a zero row), coincident
+    coordinates (the interpolation path) and plain int input."""
+    a = ParamSeq.parse("0,1/2,-3,5/3,-7/4")
+    points = [
+        [F(1, 2), F(-2, 3), F(5, -6), F(7, 4)],
+        [F(-3, 8), F(9, 10), F(-11, 7), 2],
+        [2, -3, 5, 1],
+        [F(1, 2), F(5, 3), F(-3), F(2, 7)],
+        [F(5, 3), F(5, 3), F(-1, 2), F(-1, 2)],
+        [F(1, 3), F(1, 3), F(-2, 5), F(7, 2)],
+        [3, 3, -1, 4],
+    ]
+    for n_vars in (3, 4):
+        for lam in strict_partitions(5):
+            sym, asym = q_lambda_sym(lam, n_vars), qa_sym(lam, a, n_vars)
+            for xs in points:
+                xs = xs[:n_vars]
+                vals = {i + 1: x for i, x in enumerate(xs)}
+                assert q_sym_at(lam, xs) == sym.evaluate(vals), (lam, xs)
+                assert qa_sym_at(lam, a, xs) == asym.evaluate(vals), (lam, xs)
+    for lam in strict_partitions(5):
+        for f in (q_lambda(lam), multiparam_q(lam, a)):
+            for xs in points:
+                expect = f.evaluate({n: sum(F(x) ** n for x in xs) for n in range(1, 6)})
+                assert eval_powersums(f, xs) == expect, (lam, xs)
+
+
 def test_pointwise_unordered_index():
     rng = random.Random(97)
     a = RANDOM_A
