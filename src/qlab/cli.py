@@ -22,8 +22,8 @@ Subcommands:
       P random rational points, 1 <= P <= MAX_POINTS (100).
 
 Tau functions are given as 'q:2,1', 'qa:2,1@0,1,2', 'qa:2,1@factorial',
-or 'json:FILE'.  Parameter sequences are comma-separated rationals
-starting with 0, or the named families 'zero' and 'factorial'.
+or 'json:FILE'.  Parameter sequences are comma-separated rationals (n,
+n/d or decimals) starting with 0, or the families 'zero' and 'factorial'.
 
 Exit status: 0 success, 1 a verification failed, 2 usage error (including
 an input whose computation would pass the ring's exponent bound), 3

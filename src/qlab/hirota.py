@@ -21,12 +21,19 @@ with ytilde_n = -2 y_n and Dtilde_n = 2 D_n / n, collecting the
 coefficient of every monomial in the formal variables y; each
 coefficient is a Hirota polynomial that must annihilate tau.tau.  The
 S_m are the one-row Q_m of the series module, rescaled: S_m(Dtilde) is
-Q_m with p_n -> D_n and S_m(ytilde) is Q_m with p_n -> -n y_n.  Odd
-total degree monomials in D act as zero on any pair (f, f), so the
-canonical form of each equation keeps only the even-degree part.  The
-equations are built and cached one y-weight at a time, each as its raw
-coefficient and its canonical form, so raising the weight bound builds
-only the new weights.
+Q_m with p_n -> D_n and S_m(ytilde) is Q_m with p_n -> -n y_n.  The
+equations are built and cached one y-weight at a time, so raising the
+weight bound builds only the new weights.
+
+Odd total degree monomials in D act as zero on any pair (f, f), so the
+canonical form of an equation is its even-degree part.  Indices are odd,
+so a monomial's degree has the parity of its weight, and the equation of
+y-weight w is homogeneous of weight w in D (the generator checks this):
+its canonical form is the raw equation at even w and zero at odd w, so
+only raw equations are built.  Both forms have the same keys: at odd w
+the raw equation of each y-monomial nu has the degree-1 term c_nu (2/w)
+D_w from mu = 1, where c_nu != 0 is the y^nu coefficient of S_w(ytilde),
+and all its other terms have degree at least 2, so it is nonzero.
 """
 
 from __future__ import annotations
@@ -165,11 +172,10 @@ def hirota_apply_taylor(p: Poly, f: Poly, g: Poly) -> Poly:
 
 
 @cache
-def _weight_slice(w: int) -> dict[Mono, tuple[Poly, Poly]]:
-    """Every equation of y-weight exactly w, as a map from its y-monomial
-    to the pair (raw coefficient, even-degree part).  Each D^mu / mu!, the
-    y^mu coefficient of exp(sum_n y_n D_n), pairs with the S_m of weight
-    m = w - |mu|; of S_m(ytilde) only the coefficients are read."""
+def _weight_slice(w: int) -> dict[Mono, Poly]:
+    """Every nonzero raw equation of y-weight w, by y-monomial.  Each
+    D^mu / mu!, the y^mu coefficient of exp(sum_n y_n D_n), pairs with the
+    S_m of weight m = w - |mu|; of S_m(ytilde) only coefficients are read."""
     rows: dict[int, tuple[Poly, list[tuple[Mono, Fraction]]]] = {}
     for m in range(1, w + 1):
         q = schur_q_row(m)
@@ -181,41 +187,38 @@ def _weight_slice(w: int) -> dict[Mono, tuple[Poly, Poly]]:
         prod = sdm * Poly.from_mono(mu, d, "D")
         for ymono, c in sym:
             pairs.setdefault(mono_mul(ymono, mu), []).append((prod, c))
-    out: dict[Mono, tuple[Poly, Poly]] = {}
-    for key, items in pairs.items():
-        val = Poly.lincomb(items, "D")
+    out = {key: Poly.lincomb(items, "D") for key, items in pairs.items()}
+    for key, val in out.items():
         if val.weight_part(w) != val:
             raise ArithmeticError(f"inhomogeneous equation at {mono_text(key, 'y')}")
-        if val:
-            out[key] = val, val._even_degree_part()
-    return out
+    return {key: val for key, val in out.items() if val}
+
+
+@cache
+def _weight_monomials(w: int) -> tuple[Mono, ...]:
+    """The y-monomials of weight exactly w, in canonical order."""
+    return tuple(m for m in graded_monomials(w) if mono_weight(m) == w)
 
 
 def bkp_generate(max_weight: int, canonical: bool = True) -> dict[Mono, Poly]:
     """The hierarchy equations up to a weight bound, as a map from each
-    y-monomial to its Hirota polynomial coefficient.
-
-    With canonical=True every coefficient is reduced to its even-degree
-    part (the part that can act nontrivially on f.f); an equation whose
-    canonical form is the zero polynomial is trivially satisfied.  Raw
-    unreduced coefficients are available with canonical=False.
-    """
+    y-monomial to its Hirota polynomial coefficient.  With canonical=True a
+    coefficient is its even-degree part, the part that can act on f.f,
+    which is zero (trivially satisfied) at odd y-weight; canonical=False
+    gives the raw coefficients."""
     if max_weight < 2:
         raise ValueError("max_weight must be at least 2")
-    i = 1 if canonical else 0
-    return {key: pair[i] for w in range(1, max_weight + 1)
-            for key, pair in _weight_slice(w).items()}
+    eqs, zero = {}, Poly.zero("D")
+    for w in range(1, max_weight + 1):
+        eqs.update(dict.fromkeys(_weight_monomials(w), zero) if canonical and w % 2
+                   else _weight_slice(w))
+    return eqs
 
 
 def _equations(max_weight: int):
-    """Yield (y-monomial, canonical Hirota polynomial) for every formal
-    monomial of weight 1..max_weight in canonical order; the polynomial is
-    zero where the equation is trivially satisfied."""
-    eqs = bkp_generate(max_weight, canonical=True)
-    zero = Poly.zero("D")
-    for mono in graded_monomials(max_weight):
-        if mono:
-            yield mono, eqs.get(mono, zero)
+    """(y-monomial, canonical equation, zero if trivial) up to max_weight, in order."""
+    eqs, zero = bkp_generate(max_weight), Poly.zero("D")
+    return [(m, eqs.get(m, zero)) for w in range(1, max_weight + 1) for m in _weight_monomials(w)]
 
 
 def equation_listing(max_weight: int) -> list[str]:

@@ -33,8 +33,8 @@ and pickling give them back.  A key is decoded (_decode) only at that
 boundary: terms is a read-only view that decodes a key, and turns its
 numerator into a Fraction, when it is read, and keeps no copy.  Code
 outside this module reads the integer form only through the private
-methods of Poly (_make, _linear_image, _rescaled, _even_degree_part,
-_renamings, _div_linear, _canonical_texts) and Tensor (_key_terms).
+methods of Poly (_make, _linear_image, _rescaled, _renamings,
+_div_linear, _canonical_texts) and Tensor (_key_terms).
 The maps handed to _linear_image receive packed keys: the per-monomial
 phi_m cache keys on them as they are, and the D^gamma map of the Hirota
 evaluator and the oracle's power-sum image read a key's variables
@@ -57,7 +57,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import lshift, or_
 
-from .monomial import (  # the monomial names are also read from here
+from .monomial import (
     EMPTY_MONO,
     FAMILY_LETTERS,
     MAX_EXPONENT,
@@ -75,18 +75,20 @@ from .monomial import (  # the monomial names are also read from here
     _pack,
     check_family,
     check_mono,
-    graded_monomials,
-    mono_degree,
-    mono_mul,
-    mono_sort_key,
     mono_text,
-    mono_weight,
 )
 
 Scalar = int | Fraction
 
 def _fr(value: Scalar) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def _parse_rational(text: str) -> Fraction:
+    """n, n/d or a decimal; Fraction would write out 1e999999999 in full."""
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent notation in {text!r}")
+    return Fraction(text)
 
 
 def _frozen(self, name, *value):
@@ -382,10 +384,6 @@ class Poly(_IntegerForm):
         return Poly._make(
             {k: n for k, n in self._nums.items() if keep(k)}, self._den, self.family
         )
-
-    def _even_degree_part(self) -> "Poly":
-        """The terms of even total degree."""
-        return self._filtered(lambda k: not _key_degree(k) & 1)
 
     def _renamings(self, perms: Iterable[Mapping[int, int]]) -> Iterator["Poly"]:
         """Self with each variable index n replaced by perm[n], for each

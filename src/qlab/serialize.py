@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .monomial import Mono, check_mono
-from .ring import Poly, accumulate
+from .ring import Poly, _parse_rational, accumulate
 
 ALLOWED_FAMILIES = ("p", "x", "y", "D")
 
@@ -62,7 +62,7 @@ def poly_from_json_dict(data: dict) -> Poly:
         if not isinstance(coef_text, str):
             raise ValueError("coef must be a rational string")
         try:
-            coef = Fraction(coef_text)
+            coef = _parse_rational(coef_text)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad rational {coef_text!r}") from None
         pairs.append((mono, coef))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cache
 from collections.abc import Iterable, Sequence
 
-from .ring import Poly, Scalar, _frozen
+from .ring import Poly, Scalar, _frozen, _parse_rational
 
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
@@ -348,7 +348,7 @@ class ParamSeq:
         if any(not t for t in parts):
             raise ValueError(f"malformed parameter sequence: {text!r}")
         try:
-            return cls(Fraction(t) for t in parts)
+            return cls(map(_parse_rational, parts))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed parameter sequence: {text!r}") from exc
 
@@ -364,7 +364,6 @@ class ParamSeq:
         return f"ParamSeq({', '.join(str(v) for v in self.values)})"
 
 
-FINITE_DIRECTIONS = ("power_to_shifted", "shifted_to_power")
 INFINITE_DIRECTIONS = ("inv_power_to_shifted", "inv_shifted_to_power")
 
 

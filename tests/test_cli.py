@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from qlab import (
+    ParamSeq,
     Poly,
     poly_from_json_dict,
     poly_to_json_dict,
@@ -182,6 +183,25 @@ def test_import_leaves_out_dataclasses_inspect_and_typing():
     assert proc.stdout.strip() == "[]"
 
 
+def test_exponent_notation_rejected_at_once(tmp_path):
+    """Fraction writes out every digit of 1e999999999, so a rational in
+    exponent notation, from a JSON tau or --params, exits 2 at once.  Each
+    command runs in its own process, under a timeout, and prints the time
+    its main() took."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys, time; from qlab.cli import main; start = time.perf_counter(); "
+            "status = main(sys.argv[1:]); print(time.perf_counter() - start); sys.exit(status)")
+    tau = tmp_path / "tau.json"
+    tau.write_text(json.dumps({"vars": "p", "terms": [{"mono": {"1": 1}, "coef": "1e999999999"}]}))
+    for argv in (["check-bilinear", "--tau", f"json:{tau}"],
+                 ["qa", "2", "--params", "0,1e999999999"]):
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src), timeout=10)
+        assert proc.returncode == 2
+        assert float(proc.stdout) < 1
+        assert "1e999999999" in proc.stderr
+
+
 def test_oracle_compare_weight_cap(monkeypatch, capsys):
     monkeypatch.setenv("QLAB_MAX_WEIGHT", "3")
     code, out, err = run_cli(capsys, "oracle-compare", "--max-sum", "4", "--nvars", "3")
@@ -278,6 +298,20 @@ def test_serialize_rejections():
         poly_from_json_dict({"vars": "p", "terms": [{"mono": {"1": True}, "coef": "2"}]})
     with pytest.raises(ValueError):
         poly_to_json_dict(Poly.one("v"))
+
+
+def test_rational_texts():
+    """JSON coefficients and parameter sequences read n, n/d and decimals,
+    and refuse exponent notation."""
+    for text, value in (("3", 3), ("-3/4", F(-3, 4)), ("1.25", F(5, 4))):
+        term = {"mono": {}, "coef": text}
+        assert poly_from_json_dict({"vars": "p", "terms": [term]}) == Poly.one("p") * value
+        assert ParamSeq.parse(f"0,{text}").values[1] == value
+    for text in ("1e3", "2E-1", "1.5e2"):
+        with pytest.raises(ValueError):
+            poly_from_json_dict({"vars": "p", "terms": [{"mono": {}, "coef": text}]})
+        with pytest.raises(ValueError):
+            ParamSeq.parse(f"0,{text}")
 
 
 def test_internal_error_exit_3(capsys):

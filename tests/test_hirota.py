@@ -25,7 +25,7 @@ from qlab import (
     x_to_p,
 )
 from qlab import fermion, hirota, ring
-from qlab.ring import mono_degree, mono_sort_key, mono_text, mono_weight
+from qlab.monomial import graded_monomials, mono_degree, mono_sort_key, mono_text, mono_weight
 
 from conftest import rand_poly
 
@@ -142,6 +142,14 @@ def test_bkp_generate_validation():
         bkp_generate(0)
 
 
+def test_every_generator_entry_point_rejects_max_weight_below_2():
+    for call in (lambda w: bkp_check(q_lambda((2, 1)), w), equation_listing,
+                 lambda w: list(hirota._equations(w))):
+        for w in (1, 0):
+            with pytest.raises(ValueError):
+                call(w)
+
+
 def test_equation_listing_matches_golden():
     with open(GOLDEN) as fh:
         golden = fh.read().splitlines()
@@ -189,13 +197,25 @@ def test_bkp_generate_joins_weight_slices():
         assert canon[ymono] == Poly(even, "D")
 
 
+def test_odd_weight_slices_hold_every_monomial():
+    """At odd weight every y-monomial has a nonzero raw equation, so the
+    canonical hierarchy, zero there, has the same keys as the raw one."""
+    monos = graded_monomials(15)
+    for w in range(1, 16, 2):
+        assert set(hirota._weight_slice(w)) == {m for m in monos if mono_weight(m) == w}
+
+
 def test_raising_the_weight_bound_builds_only_the_new_weights():
     tau = q_lambda((2, 1))
     hirota._weight_slice.cache_clear()
     assert bkp_check(tau, 12).passed
-    assert hirota._weight_slice.cache_info().misses == 12
+    assert hirota._weight_slice.cache_info().misses == 6
     assert bkp_check(tau, 14).passed
-    assert hirota._weight_slice.cache_info().misses == 14
+    assert hirota._weight_slice.cache_info().misses == 7
+    # The canonical hierarchy reads only the even weights.
+    for w in range(2, 15, 2):
+        hirota._weight_slice(w)
+    assert hirota._weight_slice.cache_info().misses == 7
 
 
 def test_bkp_check_passes_on_solutions():
@@ -286,7 +306,6 @@ def test_verifiers_and_construction_decode_no_key(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(ring, "mono_mul")
     counted(hirota, "mono_mul")
     counted(ring, "_decode")
     tau = q_lambda((7, 5))
