@@ -28,9 +28,10 @@ n/d or decimals) starting with 0, or the families 'zero' and 'factorial'.
 Exit status: 0 success, 1 a verification failed, 2 usage error (including
 an input whose computation would pass the ring's exponent bound), 3
 internal error (an unexpected exception, reported on stderr).  The
-environment variable QLAB_MAX_WEIGHT, if set, caps the accepted
---max-weight and --max-sum values, the weight of a q/qa index vector (the
-sum of the absolute values of its entries) and the weight of a json: tau.
+environment variable QLAB_MAX_WEIGHT caps the accepted --max-weight and
+--max-sum values, the weight of a q/qa index vector (the sum of the
+absolute values of its entries) and the weight of a json: tau; unset, the
+cap is DEFAULT_MAX_WEIGHT (64).
 """
 
 from __future__ import annotations
@@ -53,6 +54,9 @@ from .series import ParamSeq
 
 # The most random points one oracle-compare run evaluates.
 MAX_POINTS = 100
+
+# The weight cap when QLAB_MAX_WEIGHT is unset.
+DEFAULT_MAX_WEIGHT = 64
 
 
 def _parse_vector(text: str, positive: bool = False) -> tuple[int, ...]:
@@ -113,9 +117,7 @@ def _max_weight(w: int) -> int:
 
 
 def _weight_cap(requested: int) -> None:
-    cap = os.environ.get("QLAB_MAX_WEIGHT")
-    if cap is None:
-        return
+    cap = os.environ.get("QLAB_MAX_WEIGHT", str(DEFAULT_MAX_WEIGHT))
     try:
         cap_val = int(cap)
     except ValueError:

@@ -7,8 +7,10 @@ A Hirota symbol polynomial P(D_1, D_3, ...) acts on a pair (f, g) by
 
 which for a monomial D^gamma expands into the signed binomial sum over
 derivative splittings.  Two independent evaluators are provided: the
-binomial expansion (primary) and a literal doubled-variable shift
-product that never forms a derivative or a binomial coefficient.  On a
+binomial expansion (primary) and a literal Taylor product that never
+forms a derivative or a binomial coefficient: one substitution
+x_n -> x_n + z_n in f and one x_n -> x_n - z_n in g (Poly._substituted),
+one product of the two, and gamma! [z^gamma] read off its terms.  On a
 pair (f, f), the binomial expansion uses D^gamma f.g = (-1)^|gamma|
 D^gamma g.f: it returns zero for odd |gamma| and otherwise sums half
 the splittings, doubling the terms whose mirror it skips.
@@ -28,7 +30,7 @@ weight bound builds only the new weights.
 Odd total degree monomials in D act as zero on any pair (f, f), so the
 canonical form of an equation is its even-degree part.  Indices are odd,
 so a monomial's degree has the parity of its weight, and the equation of
-y-weight w is homogeneous of weight w in D (the generator checks this):
+y-weight w is homogeneous of weight w in D (the generator checks each S_m):
 its canonical form is the raw equation at even w and zero at odd w, so
 only raw equations are built.  Both forms have the same keys: at odd w
 the raw equation of each y-monomial nu has the degree-1 term c_nu (2/w)
@@ -45,7 +47,7 @@ from fractions import Fraction
 from functools import cache
 
 from .monomial import (
-    EMPTY_MONO,
+    MAX_INDEX,
     Mono,
     _key_vars,
     graded_monomials,
@@ -126,47 +128,36 @@ def hirota_apply(p: Poly, f: Poly, g: Poly) -> Poly:
     return p._linear_image(_hirota_values(f, g).__getitem__, "x")
 
 
-def _doubled(f: Poly, sgn: int) -> dict[tuple[Mono, Mono], Fraction]:
-    """f(x + sgn*z) as a polynomial in doubled variables, built by
-    multiplying out one linear factor (x_n + sgn*z_n) at a time."""
-    out: dict[tuple[Mono, Mono], Fraction] = {}
-    for mono, c in f.terms.items():
-        obj = {(EMPTY_MONO, EMPTY_MONO): c}
-        for n, e in mono:
-            unit: Mono = ((n, 1),)
-            for _ in range(e):
-                obj = accumulate({}, (
-                    item
-                    for (zm, xm), cc in obj.items()
-                    for item in (((zm, mono_mul(xm, unit)), cc),
-                                 ((mono_mul(zm, unit), xm), cc if sgn > 0 else -cc))
-                ))
-        accumulate(out, obj.items())
-    return out
+def _doubled(f: Poly, sgn: int) -> Poly:
+    """f(x + sgn*z) in the "v" alphabet, where x_n is v_n and z_n is v_(n+1)."""
+    return f._substituted({n: Poly.variable(n, "v") + Poly.variable(n + 1, "v") * sgn
+                           for n in f.support_indices()}, "v")
 
 
 def hirota_apply_taylor(p: Poly, f: Poly, g: Poly) -> Poly:
-    """Evaluate P(D) f.g literally: form f(x+z) g(x-z) by explicit
-    multiplication in doubled variables and read off gamma! times the
-    z^gamma coefficient for each monomial of P.
+    """Evaluate P(D) f.g literally: form f(x+z) g(x-z) as one product in
+    doubled variables and read off gamma! times the z^gamma coefficient
+    for each monomial of P.
 
     Independent of hirota_apply: no derivatives, no binomial
-    coefficients.  Intended for small inputs.
+    coefficients.  Intended for small inputs.  z_n takes the index n + 1
+    of the doubled alphabet, so an input that uses the largest index,
+    MAX_INDEX = 4095, raises ValueError; hirota_apply takes every index.
     """
     if p.family != "D":
         raise ValueError("expected a Hirota symbol polynomial")
     if f.family != "x" or g.family != "x":
         raise ValueError("expected rescaled-time polynomials")
-    gm = _doubled(g, -1).items()
+    if MAX_INDEX in p.support_indices() | f.support_indices() | g.support_indices():
+        raise ValueError(f"the Taylor evaluator takes indices below MAX_INDEX = {MAX_INDEX}")
     scale = {
         gamma: cg * math.prod(math.factorial(e) for _, e in gamma)
         for gamma, cg in p.terms.items()
     }
     out = accumulate({}, (
-        (mono_mul(xm1, xm2), scale[zm] * c1 * c2)
-        for (zm1, xm1), c1 in _doubled(f, 1).items()
-        for (zm2, xm2), c2 in gm
-        if (zm := mono_mul(zm1, zm2)) in scale
+        (tuple(v for v in mono if v[0] % 2), c * scale[gamma])
+        for mono, c in (_doubled(f, 1) * _doubled(g, -1)).terms.items()
+        if (gamma := tuple((n - 1, e) for n, e in mono if n % 2 == 0)) in scale
     ))
     return Poly(out, "x")
 
@@ -175,10 +166,14 @@ def hirota_apply_taylor(p: Poly, f: Poly, g: Poly) -> Poly:
 def _weight_slice(w: int) -> dict[Mono, Poly]:
     """Every nonzero raw equation of y-weight w, by y-monomial.  Each
     D^mu / mu!, the y^mu coefficient of exp(sum_n y_n D_n), pairs with the
-    S_m of weight m = w - |mu|; of S_m(ytilde) only coefficients are read."""
+    S_m of weight m = w - |mu|; of S_m(ytilde) only coefficients are read.
+    Each S_m is checked homogeneous of weight m, so every product, and with
+    it every equation, is homogeneous of weight w."""
     rows: dict[int, tuple[Poly, list[tuple[Mono, Fraction]]]] = {}
     for m in range(1, w + 1):
         q = schur_q_row(m)
+        if q.weight_part(m) != q:
+            raise ArithmeticError(f"inhomogeneous one-row Q_{m}")
         rows[m] = q._rescaled(lambda _: 1, "D"), list(q._rescaled(lambda n: -n, "y").terms.items())
     pairs: dict[Mono, list[tuple[Poly, Fraction]]] = {}
     for mu in graded_monomials(w - 1):
@@ -187,11 +182,7 @@ def _weight_slice(w: int) -> dict[Mono, Poly]:
         prod = sdm * Poly.from_mono(mu, d, "D")
         for ymono, c in sym:
             pairs.setdefault(mono_mul(ymono, mu), []).append((prod, c))
-    out = {key: Poly.lincomb(items, "D") for key, items in pairs.items()}
-    for key, val in out.items():
-        if val.weight_part(w) != val:
-            raise ArithmeticError(f"inhomogeneous equation at {mono_text(key, 'y')}")
-    return {key: val for key, val in out.items() if val}
+    return {key: val for key, items in pairs.items() if (val := Poly.lincomb(items, "D"))}
 
 
 @cache

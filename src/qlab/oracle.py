@@ -49,7 +49,6 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .monomial import _key_vars
 from .ring import Poly, Scalar
 from .series import ParamSeq, schur_q_row
 
@@ -290,10 +289,7 @@ def powersum_image(f: Poly, n_vars: int) -> Poly:
         raise ValueError("expected a power-sum polynomial")
     _check_nvars(n_vars)
     psum = {
-        n: Poly({((s, n),): Fraction(1) for s in range(1, n_vars + 1)}, family="v")
+        n: Poly({((s, n),): 1 for s in range(1, n_vars + 1)}, family="v")
         for n in f.support_indices()
     }
-    one = Poly.one("v")
-    return f._linear_image(
-        lambda key: math.prod((psum[n] ** e for n, _, e in _key_vars(key)), start=one), "v"
-    )
+    return f._substituted(psum, "v")

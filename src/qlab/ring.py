@@ -33,13 +33,13 @@ and pickling give them back.  A key is decoded (_decode) only at that
 boundary: terms is a read-only view that decodes a key, and turns its
 numerator into a Fraction, when it is read, and keeps no copy.  Code
 outside this module reads the integer form only through the private
-methods of Poly (_make, _linear_image, _rescaled, _renamings,
-_div_linear, _canonical_texts) and Tensor (_key_terms).
+methods of Poly (_make, _linear_image, _substituted, _rescaled,
+_renamings, _div_linear, _canonical_texts) and Tensor (_key_terms).
 The maps handed to _linear_image receive packed keys: the per-monomial
 phi_m cache keys on them as they are, and the D^gamma map of the Hirota
-evaluator and the oracle's power-sum image read a key's variables
-(_key_vars) only when they form a new value; none of them builds a
-tuple monomial.
+evaluator and _substituted, the one substitution routine (the oracle's
+power-sum image, the Taylor evaluator's f(x +- z)), read a key's
+variables (_key_vars); none of them builds a tuple monomial.
 
 Every value is immutable after construction and every operation is a
 pure function, so values can be shared freely between threads or cached
@@ -71,6 +71,7 @@ from .monomial import (
     _fields,
     _key_degree,
     _key_sort,
+    _key_vars,
     _key_weight,
     _pack,
     check_family,
@@ -352,6 +353,13 @@ class Poly(_IntegerForm):
         given to fn as its packed key, to fn(key), a polynomial of the
         given family."""
         return Poly._lincomb(((fn(k), n) for k, n in self._nums.items()), family, self._den)
+
+    def _substituted(self, images: Mapping[int, "Poly"], family: str) -> "Poly":
+        """Self with each variable v_n replaced by images[n], a polynomial of
+        the given family."""
+        step, one = _STEP[self.family], Poly.one(family)
+        return self._linear_image(lambda key: math.prod(
+            (images[n] ** e for n, _, e in _key_vars(key, step)), start=one), family)
 
     def _scaled(self, factor: Callable[[int], Scalar]) -> tuple[dict, int]:
         """The numerators and denominator of self with each variable v_n

@@ -17,6 +17,7 @@ from qlab import (
     q_lambda,
     schur_q_row,
 )
+from qlab import cli
 from qlab.cli import MAX_POINTS, main
 
 F = Fraction
@@ -314,11 +315,31 @@ def test_rational_texts():
             ParamSeq.parse(f"0,{text}")
 
 
-def test_internal_error_exit_3(capsys):
-    code, out, err = run_cli(capsys, "q", "1200")
+def test_internal_error_exit_3(monkeypatch, capsys):
+    def broken(vec):
+        raise RuntimeError("broken construction")
+
+    monkeypatch.setattr(cli, "q_lambda", broken)
+    code, out, err = run_cli(capsys, "q", "2,1")
     assert code == 3
     assert out == ""
-    assert err.startswith("internal error: RecursionError: ")
+    assert err == "internal error: RuntimeError: broken construction\n"
+
+
+def test_default_weight_cap():
+    """Unset, QLAB_MAX_WEIGHT is 64: q 1200, whose one-row Q would run out
+    of recursion depth, exits 2 at once.  The command runs in its own
+    process, under a timeout, and prints the time its main() took."""
+    assert cli.DEFAULT_MAX_WEIGHT == 64
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys, time; from qlab.cli import main; start = time.perf_counter(); "
+            "status = main(sys.argv[1:]); print(time.perf_counter() - start); sys.exit(status)")
+    env = {k: v for k, v in os.environ.items() if k != "QLAB_MAX_WEIGHT"}
+    proc = subprocess.run([sys.executable, "-c", code, "q", "1200"], capture_output=True,
+                          text=True, env=dict(env, PYTHONPATH=src), timeout=10)
+    assert proc.returncode == 2
+    assert float(proc.stdout) < 1
+    assert proc.stderr == "error: weight 1200 exceeds the QLAB_MAX_WEIGHT cap 64\n"
 
 
 def test_q_vector_with_negative_first_entry(capsys):
@@ -337,9 +358,11 @@ def test_qa_vector_with_negative_first_entry_is_rejected(capsys):
     assert err == "error: index vector must have positive entries: '-3,2'\n"
 
 
-def test_exponent_past_the_bound_exits_2(tmp_path, capsys):
+def test_exponent_past_the_bound_exits_2(tmp_path, monkeypatch, capsys):
     # 256 is rejected when the file is read; x1^200 when the y3^2
-    # equation would multiply two derivatives of it.
+    # equation would multiply two derivatives of it.  The cap is raised
+    # past the default 64, which would reject weight 200 first.
+    monkeypatch.setenv("QLAB_MAX_WEIGHT", "255")
     path = tmp_path / "tau.json"
     for exponent, code in ((256, 2), (200, 2), (3, 1)):
         path.write_text(json.dumps({"vars": "p", "terms": [

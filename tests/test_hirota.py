@@ -25,7 +25,7 @@ from qlab import (
     x_to_p,
 )
 from qlab import fermion, hirota, ring
-from qlab.monomial import graded_monomials, mono_degree, mono_sort_key, mono_text, mono_weight
+from qlab.monomial import MAX_INDEX, graded_monomials, mono_degree, mono_sort_key, mono_text, mono_weight
 
 from conftest import rand_poly
 
@@ -100,6 +100,42 @@ def test_taylor_route_agrees():
         g = rand_poly(rng, max_weight=6, family="x", terms=3)
         p = rand_poly(rng, max_weight=6, family="D", terms=2)
         assert hirota_apply_taylor(p, f, g) == hirota_apply(p, f, g)
+
+
+def test_taylor_route_index_limit():
+    """z_n is the index n + 1 of the doubled alphabet, so the Taylor
+    evaluator refuses any input that uses the largest index; the binomial
+    evaluator takes it, and at the index below it the two agree."""
+    top = MAX_INDEX
+    one = Poly.one("x")
+    xtop = Poly.variable(top, "x")
+    for p, f, g in ((dvar(top), xtop, one), (dvar(top), Poly.variable(1, "x"), one),
+                    (dvar(1), xtop, one), (dvar(1) ** 2, Poly.variable(1, "x") ** 2, xtop)):
+        with pytest.raises(ValueError, match=f"below MAX_INDEX = {MAX_INDEX}"):
+            hirota_apply_taylor(p, f, g)
+    assert hirota_apply(dvar(top), xtop, one) == 1
+    n = top - 2
+    xn, x1 = Poly.variable(n, "x"), Poly.variable(1, "x")
+    f = xn ** 2 + x1 * xn * 3
+    g = xn - x1 ** 2 * F(1, 2)
+    for p in (dvar(n), dvar(n) ** 2, dvar(1) * dvar(n), dvar(1) ** 2 * dvar(n) ** 2):
+        value = hirota_apply(p, f, g)
+        assert value and hirota_apply_taylor(p, f, g) == value
+
+
+def test_inhomogeneous_row_is_refused(monkeypatch):
+    """The parity argument needs every equation homogeneous, and the
+    generator checks each one-row factor: an inhomogeneous one raises."""
+    def row(m):
+        return schur_q_row(m) + Poly.variable(1) if m == 3 else schur_q_row(m)
+
+    hirota._weight_slice.cache_clear()
+    monkeypatch.setattr(hirota, "schur_q_row", row)
+    try:
+        with pytest.raises(ArithmeticError, match="inhomogeneous one-row Q_3"):
+            bkp_generate(6)
+    finally:
+        hirota._weight_slice.cache_clear()
 
 
 def test_bkp_generate_pinned_equation():

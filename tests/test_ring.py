@@ -409,3 +409,29 @@ def test_index_bound():
         for n in (MAX_INDEX + 2, 10**12 + 1):
             with pytest.raises(ValueError, match="exceeds"):
                 Poly.variable(n, family)
+
+
+def test_substituted_matches_hand_built_arithmetic():
+    """_substituted replaces each variable by a polynomial: the image of f
+    equals f written out by hand with the images' sums, products and
+    powers, whatever the images' family."""
+    F = Fraction
+    p1, p3, p5 = (Poly.variable(n) for n in (1, 3, 5))
+    f = 3 + p1**3 * p3 * F(-2, 5) + p1 * p5**2 + p3**2 - p1**4 * p5
+    v1, v2, v3 = (Poly.variable(n, "v") for n in (1, 2, 3))
+    images = {1: v1 * v2 + 1, 3: v3**2 - v1 * F(1, 2), 5: v2**3 * F(7, 3) - v3}
+    a, b, c = images[1], images[3], images[5]
+    image = f._substituted(images, "v")
+    assert image.family == "v"
+    assert image == 3 + a**3 * b * F(-2, 5) + a * c**2 + b**2 - a**4 * c
+    # Within one family, and with an image that is a constant.
+    x1, x3, x5 = (Poly.variable(n, "x") for n in (1, 3, 5))
+    g = 3 + x1**3 * x3 * F(-2, 5) + x1 * x5**2 + x3**2 - x1**4 * x5
+    a, b, c = x1 + x3**2, Poly.const(F(-1, 2), "x"), x1 * x3
+    assert g._substituted({1: a, 3: b, 5: c}, "x") == (
+        3 + a**3 * b * F(-2, 5) + a * c**2 + b**2 - a**4 * c)
+    # Constants keep their value in the new family; images may cancel.
+    const = Poly.const(F(5, 7))._substituted({}, "v")
+    assert const.family == "v" and const == Poly.const(F(5, 7), "v")
+    assert Poly.zero()._substituted({}, "v") == Poly.zero("v")
+    assert (p1**2 - p3)._substituted({1: v1, 3: v1**2}, "v").is_zero()
