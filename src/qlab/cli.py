@@ -30,8 +30,11 @@ an input whose computation would pass the ring's exponent bound), 3
 internal error (an unexpected exception, reported on stderr).  The
 environment variable QLAB_MAX_WEIGHT caps the accepted --max-weight and
 --max-sum values, the weight of a q/qa index vector (the sum of the
-absolute values of its entries) and the weight of a json: tau; unset, the
-cap is DEFAULT_MAX_WEIGHT (64).
+absolute values of its entries) and the weight of a json: tau.  Unset, the
+--max-weight of hierarchy and check-bkp is capped at
+DEFAULT_MAX_HIERARCHY_WEIGHT (32), since generating the hierarchy costs
+about 1.7-1.8 times as much for each 2 of weight, and every other cap is
+DEFAULT_MAX_WEIGHT (64).
 """
 
 from __future__ import annotations
@@ -55,7 +58,9 @@ from .series import ParamSeq
 # The most random points one oracle-compare run evaluates.
 MAX_POINTS = 100
 
-# The weight cap when QLAB_MAX_WEIGHT is unset.
+# The weight caps when QLAB_MAX_WEIGHT is unset: the --max-weight of the
+# hierarchy commands, and every other weight.
+DEFAULT_MAX_HIERARCHY_WEIGHT = 32
 DEFAULT_MAX_WEIGHT = 64
 
 
@@ -112,12 +117,12 @@ def _load_tau(spec: str) -> Poly:
 def _max_weight(w: int) -> int:
     if w < 2:
         raise ValueError("--max-weight must be at least 2")
-    _weight_cap(w)
+    _weight_cap(w, DEFAULT_MAX_HIERARCHY_WEIGHT)
     return w
 
 
-def _weight_cap(requested: int) -> None:
-    cap = os.environ.get("QLAB_MAX_WEIGHT", str(DEFAULT_MAX_WEIGHT))
+def _weight_cap(requested: int, default: int = DEFAULT_MAX_WEIGHT) -> None:
+    cap = os.environ.get("QLAB_MAX_WEIGHT", str(default))
     try:
         cap_val = int(cap)
     except ValueError:

@@ -10,10 +10,11 @@ derivative splittings.  Two independent evaluators are provided: the
 binomial expansion (primary) and a literal Taylor product that never
 forms a derivative or a binomial coefficient: one substitution
 x_n -> x_n + z_n in f and one x_n -> x_n - z_n in g (Poly._substituted),
-one product of the two, and gamma! [z^gamma] read off its terms.  On a
-pair (f, f), the binomial expansion uses D^gamma f.g = (-1)^|gamma|
-D^gamma g.f: it returns zero for odd |gamma| and otherwise sums half
-the splittings, doubling the terms whose mirror it skips.
+each cut to z-degree at most deg P (Poly._filtered), one product of the
+two, and gamma! [z^gamma] read off its terms.  On a pair (f, f), the
+binomial expansion uses D^gamma f.g = (-1)^|gamma| D^gamma g.f: it
+returns zero for odd |gamma| and otherwise sums half the splittings,
+doubling the terms whose mirror it skips.
 
 The hierarchy generator expands
 
@@ -128,10 +129,13 @@ def hirota_apply(p: Poly, f: Poly, g: Poly) -> Poly:
     return p._linear_image(_hirota_values(f, g).__getitem__, "x")
 
 
-def _doubled(f: Poly, sgn: int) -> Poly:
-    """f(x + sgn*z) in the "v" alphabet, where x_n is v_n and z_n is v_(n+1)."""
+def _doubled(f: Poly, sgn: int, top: int) -> Poly:
+    """f(x + sgn*z) in the "v" alphabet, where x_n is v_n and z_n is v_(n+1),
+    without its terms of z-degree above top: a key's z-degree is the sum of
+    its exponents at even indices."""
     return f._substituted({n: Poly.variable(n, "v") + Poly.variable(n + 1, "v") * sgn
-                           for n in f.support_indices()}, "v")
+                           for n in f.support_indices()}, "v")._filtered(
+        lambda key: sum(e for n, _, e in _key_vars(key, 1) if n % 2 == 0) <= top)
 
 
 def hirota_apply_taylor(p: Poly, f: Poly, g: Poly) -> Poly:
@@ -150,13 +154,14 @@ def hirota_apply_taylor(p: Poly, f: Poly, g: Poly) -> Poly:
         raise ValueError("expected rescaled-time polynomials")
     if MAX_INDEX in p.support_indices() | f.support_indices() | g.support_indices():
         raise ValueError(f"the Taylor evaluator takes indices below MAX_INDEX = {MAX_INDEX}")
+    top = p.degree()
     scale = {
         gamma: cg * math.prod(math.factorial(e) for _, e in gamma)
         for gamma, cg in p.terms.items()
     }
     out = accumulate({}, (
         (tuple(v for v in mono if v[0] % 2), c * scale[gamma])
-        for mono, c in (_doubled(f, 1) * _doubled(g, -1)).terms.items()
+        for mono, c in (_doubled(f, 1, top) * _doubled(g, -1, top)).terms.items()
         if (gamma := tuple((n - 1, e) for n, e in mono if n % 2 == 0)) in scale
     ))
     return Poly(out, "x")

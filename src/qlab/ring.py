@@ -34,7 +34,7 @@ boundary: terms is a read-only view that decodes a key, and turns its
 numerator into a Fraction, when it is read, and keeps no copy.  Code
 outside this module reads the integer form only through the private
 methods of Poly (_make, _linear_image, _substituted, _rescaled,
-_renamings, _div_linear, _canonical_texts) and Tensor (_key_terms).
+_filtered, _renamings, _div_linear, _canonical_texts) and Tensor (_key_terms).
 The maps handed to _linear_image receive packed keys: the per-monomial
 phi_m cache keys on them as they are, and the D^gamma map of the Hirota
 evaluator and _substituted, the one substitution routine (the oracle's

@@ -4,8 +4,12 @@ finite symmetric polynomials, and basis transitions for shifted powers.
 Generating series here are indexed sequences: an S-sequence lists the
 coefficients S_0, S_1, ... of a series with S_0 = 1, an X-sequence lists
 X_1, X_2, ... of a series with no constant term, and exp/log convert
-between them.  Entries may be exact rationals or Poly values; all
-arithmetic stays exact.
+between them by two independent routes.  The recursive route is
+Newton's identity m S_m = sum_{i=1..m} i X_i S_{m-i}, read forward for S_m
+(exp_series) and solved for X_m (log_series_by_inversion); the
+determinant route expands a determinant for each coefficient
+(exp_series_det, log_series).  Entries may be exact rationals or Poly
+values; all arithmetic stays exact.
 
 The shifted-power transitions expand ordinary powers u^n (and 1/u^n) in
 the basis of products (u-a_1)(u-a_2)...(u-a_k) (and their reciprocals)
@@ -25,85 +29,80 @@ _ONE = Fraction(1)
 _ZERO = Fraction(0)
 
 
-def _normalize_entry(value):
-    return Fraction(value) if isinstance(value, int) else value
+def _entries(values: Sequence, k: int, one=None) -> tuple[list, Poly | Fraction]:
+    """The entries of a sequence, ints read as Fractions, and one, by
+    default the one of their ring: Poly.one of the first Poly entry's
+    family, else 1."""
+    if k < 0:
+        raise ValueError("series order must be nonnegative")
+    vals = [Fraction(v) if isinstance(v, int) else v for v in values]
+    if one is None:
+        one = next((Poly.one(v.family) for v in vals if isinstance(v, Poly)), _ONE)
+    return vals, one
 
 
-def _ring_one(values) -> Poly | Fraction:
-    for v in values:
-        if isinstance(v, Poly):
-            return Poly.one(v.family)
-    return _ONE
+def _s_sequence(ss: Sequence, k: int) -> tuple[list, Poly | Fraction]:
+    """The entries S_0..S_k of an S-sequence, missing ones read as zero, and
+    the one of their ring; S_0 must be 1 and becomes that one."""
+    s, one = _entries(ss, k)
+    if not s or not (s[0] == 1):
+        raise ValueError("an S-sequence must start with S_0 = 1")
+    return ([one] + s[1:] + [one * 0] * k)[:k + 1], one
+
+
+def _newton(xs: Sequence, ss: Sequence, m: int, top: int, zero):
+    """sum_{i=1..top} (i/m) X_i S_{m-i}: the right side of Newton's identity
+    m S_m = sum_{i=1..m} i X_i S_{m-i} over its first top terms, divided by
+    m.  Missing and zero entries of xs are skipped."""
+    total = zero
+    for i, x in enumerate(xs[:top], start=1):
+        if x and ss[m - i]:
+            total = total + x * Fraction(i, m) * ss[m - i]
+    return total
 
 
 def exp_series(xs: Sequence, k: int, one=None) -> list:
     """Coefficients S_0..S_k of exp(sum_i X_i / u^i), with xs = [X_1, X_2, ...].
 
-    Missing entries of xs are read as zero.  Computed as the compositional
-    sum over exponent multisets, organized as a truncated product of the
-    single-index exponentials exp(X_i / u^i).
+    Missing entries of xs are read as zero.  Computed by Newton's identity
+    m S_m = sum_{i=1..m} i X_i S_{m-i} (Macdonald, Symmetric Functions and
+    Hall Polynomials, I.2), read forward from S_0 = one.
     """
-    if k < 0:
-        raise ValueError("series order must be nonnegative")
-    vals = [_normalize_entry(v) for v in xs]
-    if one is None:
-        one = _ring_one(vals)
-    zero = one * 0
-    out = [one] + [zero] * k
-    for i, x in enumerate(vals, start=1):
-        if i > k:
-            break
-        if not x:
-            continue
-        new = list(out)
-        power = one
-        fact = 1
-        for e in range(1, k // i + 1):
-            power = power * x
-            fact *= e
-            scaled = power * Fraction(1, fact)
-            base = i * e
-            for j in range(base, k + 1):
-                prev = out[j - base]
-                if not prev:
-                    continue
-                new[j] = new[j] + prev * scaled
-        out = new
+    vals, one = _entries(xs, k, one)
+    out = [one]
+    for m in range(1, k + 1):
+        out.append(_newton(vals, out, m, m, one * 0))
     return out
 
 
 def _det(rows, one, zero):
-    """Determinant by cofactor expansion with memoized minors.
+    """Determinant by cofactor expansion along the rows in order, with each
+    minor memoized by its remaining columns (its row is n - len(cols)).
 
     Zero entries are skipped, so the nearly triangular matrices used in
     this module stay cheap despite the generic algorithm.
     """
     n = len(rows)
-    if n == 0:
-        return one
-    memo: dict = {}
+    memo: dict = {(): one}
 
-    def minor(i: int, cols: tuple) -> object:
-        if not cols:
-            return one
-        key = (i, cols)
-        hit = memo.get(key)
+    def minor(cols: tuple) -> object:
+        hit = memo.get(cols)
         if hit is not None:
             return hit
+        row = rows[n - len(cols)]
         total = zero
         for pos, c in enumerate(cols):
-            entry = rows[i][c]
-            if not entry:
+            if not row[c]:
                 continue
-            sub = minor(i + 1, cols[:pos] + cols[pos + 1:])
+            sub = minor(cols[:pos] + cols[pos + 1:])
             if not sub:
                 continue
-            term = entry * sub
+            term = row[c] * sub
             total = total + term if pos % 2 == 0 else total - term
-        memo[key] = total
+        memo[cols] = total
         return total
 
-    return minor(0, tuple(range(n)))
+    return minor(tuple(range(n)))
 
 
 def exp_series_det(xs: Sequence, k: int, one=None) -> list:
@@ -111,41 +110,20 @@ def exp_series_det(xs: Sequence, k: int, one=None) -> list:
     S_m = (1/m!) det of the lower Hessenberg matrix with rows
     (mX_m, (m-1)X_{m-1}, ..., X_1) and superdiagonal -1, -2, ...
     """
-    if k < 0:
-        raise ValueError("series order must be nonnegative")
-    vals = [_normalize_entry(v) for v in xs]
-    if one is None:
-        one = _ring_one(vals)
+    vals, one = _entries(xs, k, one)
     zero = one * 0
 
-    def x_at(t: int):
-        return vals[t - 1] if 1 <= t <= len(vals) else zero
+    def entry(i: int, j: int):
+        t = i - j + 1
+        if t == 0:
+            return Fraction(-j)
+        return vals[t - 1] * t if 1 <= t <= len(vals) else zero
 
-    out = [one]
-    for m in range(1, k + 1):
-        rows = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                if j == i + 1:
-                    row.append(Fraction(-(i + 1)))
-                elif j <= i:
-                    t = i - j + 1
-                    xv = x_at(t)
-                    row.append(xv * t if xv else zero)
-                else:
-                    row.append(zero)
-            rows.append(row)
-        det = _det(rows, one, zero)
-        out.append(det * Fraction(1, math.factorial(m)))
-    return out
-
-
-def _check_s0(ss: Sequence):
-    s = [_normalize_entry(v) for v in ss]
-    if not s or not (s[0] == 1):
-        raise ValueError("an S-sequence must start with S_0 = 1")
-    return s
+    return [one] + [
+        _det([[entry(i, j) for j in range(m)] for i in range(m)], one, zero)
+        * Fraction(1, math.factorial(m))
+        for m in range(1, k + 1)
+    ]
 
 
 def log_series(ss: Sequence, k: int) -> list:
@@ -155,71 +133,32 @@ def log_series(ss: Sequence, k: int) -> list:
     X_m = ((-1)^(m-1)/m) det of the matrix with first column (S_1, 2S_2, ..., mS_m),
     remaining columns the shifted S-sequence, and superdiagonal 1.
     """
-    if k < 0:
-        raise ValueError("series order must be nonnegative")
-    s = _check_s0(ss)
-    one = _ring_one(s)
+    s, one = _s_sequence(ss, k)
     zero = one * 0
 
-    def s_at(t: int):
-        if t == 0:
-            return one
-        return s[t] if t < len(s) else zero
+    def entry(i: int, j: int):
+        t = i - j + 1
+        if j == 0:
+            return s[t] * t
+        return s[t] if t >= 0 else zero
 
-    out = []
-    for m in range(1, k + 1):
-        rows = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                if j == 0:
-                    sv = s_at(i + 1)
-                    row.append(sv * (i + 1) if sv else zero)
-                elif j <= i + 1:
-                    row.append(s_at(i - j + 1))
-                else:
-                    row.append(zero)
-            rows.append(row)
-        det = _det(rows, one, zero)
-        sign = 1 if (m - 1) % 2 == 0 else -1
-        out.append(det * Fraction(sign, m))
-    return out
-
-
-def _series_mul(a: list, b: list, k: int, zero) -> list:
-    out = [zero] * (k + 1)
-    for i, av in enumerate(a):
-        if i > k or not av:
-            continue
-        for j, bv in enumerate(b):
-            if i + j > k:
-                break
-            if not bv:
-                continue
-            out[i + j] = out[i + j] + av * bv
-    return out
+    return [
+        _det([[entry(i, j) for j in range(m)] for i in range(m)], one, zero)
+        * Fraction(1 if m % 2 else -1, m)
+        for m in range(1, k + 1)
+    ]
 
 
 def log_series_by_inversion(ss: Sequence, k: int) -> list:
-    """Same contract as log_series, via the plain series expansion
-    log(1 + T) = T - T^2/2 + T^3/3 - ... with T = S - 1.
+    """Same contract as log_series, via Newton's identity solved for X_m:
+    X_m = S_m - sum_{i=1..m-1} (i/m) X_i S_{m-i}.
     """
-    if k < 0:
-        raise ValueError("series order must be nonnegative")
-    s = _check_s0(ss)
-    one = _ring_one(s)
+    s, one = _s_sequence(ss, k)
     zero = one * 0
-    t = [zero] + [s[i] if i < len(s) else zero for i in range(1, k + 1)]
-    acc = [zero] * (k + 1)
-    cur = t
+    xs: list = []
     for m in range(1, k + 1):
-        coef = Fraction(1 if (m - 1) % 2 == 0 else -1, m)
-        for j in range(m, k + 1):
-            if cur[j]:
-                acc[j] = acc[j] + cur[j] * coef
-        if m < k:
-            cur = _series_mul(cur, t, k, zero)
-    return acc[1:]
+        xs.append(s[m] - _newton(xs, s, m, m - 1, zero))
+    return xs
 
 
 @cache

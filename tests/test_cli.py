@@ -342,6 +342,37 @@ def test_default_weight_cap():
     assert proc.stderr == "error: weight 1200 exceeds the QLAB_MAX_WEIGHT cap 64\n"
 
 
+def test_default_hierarchy_weight_cap():
+    """Unset, QLAB_MAX_WEIGHT caps the --max-weight of hierarchy and
+    check-bkp at 32: weight 33 exits 2 at once, before any generation."""
+    assert cli.DEFAULT_MAX_HIERARCHY_WEIGHT == 32
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys, time; from qlab.cli import main; start = time.perf_counter(); "
+            "status = main(sys.argv[1:]); print(time.perf_counter() - start, file=sys.stderr); "
+            "sys.exit(status)")
+    env = {k: v for k, v in os.environ.items() if k != "QLAB_MAX_WEIGHT"}
+    for args in (["hierarchy", "--max-weight", "33"],
+                 ["check-bkp", "--tau", "q:2,1", "--max-weight", "33"]):
+        proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                              text=True, env=dict(env, PYTHONPATH=src), timeout=10)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        message, elapsed = proc.stderr.splitlines()
+        assert message == "error: weight 33 exceeds the QLAB_MAX_WEIGHT cap 32"
+        assert float(elapsed) < 1
+
+
+def test_weight_cap_variable_overrides_the_hierarchy_default(monkeypatch):
+    from qlab import hirota
+
+    monkeypatch.setenv("QLAB_MAX_WEIGHT", "40")
+    before = hirota._weight_slice.cache_info()
+    assert cli._max_weight(40) == 40
+    assert hirota._weight_slice.cache_info() == before
+    with pytest.raises(ValueError, match="weight 41 exceeds the QLAB_MAX_WEIGHT cap 40"):
+        cli._max_weight(41)
+
+
 def test_q_vector_with_negative_first_entry(capsys):
     expected = run_cli(capsys, "q", "--", "-2,3,2")
     assert expected == (0, "-8/3*p1^3 - 4/3*p3\n", "")

@@ -102,6 +102,20 @@ def test_taylor_route_agrees():
         assert hirota_apply_taylor(p, f, g) == hirota_apply(p, f, g)
 
 
+def test_taylor_route_mixed_degree_symbol():
+    """The Taylor product keeps z-degree up to deg P only; a symbol with
+    terms of several degrees and a constant term still agrees."""
+    x1, x3, x5 = (Poly.variable(n, "x") for n in (1, 3, 5))
+    f = x1 ** 3 + x1 * x3 * 2 - x5 * F(1, 2) + 1
+    g = x1 ** 2 * x3 - x3 * 3 + x1 * x5
+    p = dvar(1) ** 4 - dvar(1) * dvar(3) * 3 + dvar(5) + 2
+    value = hirota_apply(p, f, g)
+    assert value and hirota_apply_taylor(p, f, g) == value
+    v1, v2 = Poly.variable(1, "v"), Poly.variable(2, "v")
+    assert hirota._doubled(x1 ** 3, 1, 1) == v1 ** 3 + v1 ** 2 * v2 * 3
+    assert hirota._doubled(x1 ** 3, -1, 0) == v1 ** 3
+
+
 def test_taylor_route_index_limit():
     """z_n is the index n + 1 of the doubled alphabet, so the Taylor
     evaluator refuses any input that uses the largest index; the binomial

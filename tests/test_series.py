@@ -70,6 +70,12 @@ def test_log_routes_agree():
         assert log_series(ss, 9) == log_series_by_inversion(ss, 9)
 
 
+def test_log_routes_on_polynomial_entries():
+    ss = exp_series(schur_q_x_list(12), 12, one=Poly.one("p"))
+    assert log_series_by_inversion(ss, 12) == schur_q_x_list(12)
+    assert log_series(ss, 8) == schur_q_x_list(8)
+
+
 def test_exp_det_agrees_with_compositional():
     rng = random.Random(41)
     for _ in range(4):
