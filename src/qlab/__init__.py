@@ -67,6 +67,19 @@ from .series import (
 
 __version__ = "0.1.0"
 
+
+def clear_caches() -> None:
+    """Empty every process-wide cache of the package.  Each is a bounded
+    functools.lru_cache, so clearing only frees memory: a later call
+    rebuilds what it needs and returns an equal result."""
+    from . import fermion, hirota, multiparam, ring, series
+
+    for cached in (fermion._shift_coeffs, fermion._phi_mono, fermion._q_lambda,
+                   hirota._weight_slice, hirota._weight_monomials,
+                   multiparam._prefix_slot_coeffs, ring._canonical, series.schur_q_row):
+        cached.cache_clear()
+
+
 __all__ = [
     "EMPTY_MONO",
     "HierarchyReport",
@@ -81,6 +94,7 @@ __all__ = [
     "bkp_check",
     "bkp_generate",
     "check_multiparam_expansion",
+    "clear_caches",
     "complete_sym",
     "elem_sym",
     "equation_listing",

@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 
 from .monomial import _key_weight
 from .ring import LazyMap, Poly, Tensor
@@ -67,7 +67,7 @@ def exp_derivation_coeffs(f: Poly, sign: int = -1) -> list[Poly]:
     return out
 
 
-@cache
+@lru_cache(maxsize=1024)
 def _shift_coeffs(key: int) -> tuple[Poly, ...]:
     """g_0, g_1, ... of one monomial, given as its packed key:
     exp_derivation_coeffs with sign -1, which every phi_m shares."""
@@ -82,7 +82,7 @@ def _phi_from(m: int, gs: Sequence[Poly]) -> Poly:
     )
 
 
-@cache
+@lru_cache(maxsize=2048)
 def _phi_mono(m: int, key: int) -> Poly:
     """phi_m on the monomial with the packed key."""
     return _phi_from(m, _shift_coeffs(key))
@@ -104,7 +104,7 @@ def q_lambda(index: tuple[int, ...]) -> Poly:
     return _q_lambda(tuple(int(v) for v in index))
 
 
-@cache
+@lru_cache(maxsize=2048)
 def _q_lambda(vec: tuple[int, ...]) -> Poly:
     return apply_phi(vec[0], _q_lambda(vec[1:])) if vec else Poly.one()
 

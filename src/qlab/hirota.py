@@ -10,11 +10,12 @@ derivative splittings.  Two independent evaluators are provided: the
 binomial expansion (primary) and a literal Taylor product that never
 forms a derivative or a binomial coefficient: one substitution
 x_n -> x_n + z_n in f and one x_n -> x_n - z_n in g (Poly._substituted),
-each cut to z-degree at most deg P (Poly._filtered), one product of the
-two, and gamma! [z^gamma] read off its terms.  On a pair (f, f), the
-binomial expansion uses D^gamma f.g = (-1)^|gamma| D^gamma g.f: it
-returns zero for odd |gamma| and otherwise sums half the splittings,
-doubling the terms whose mirror it skips.
+each split into its parts F_i and G_j of z-degree up to deg P
+(Poly._filtered), the sum of the products F_i G_j over i + j = d for
+the z-degrees d of P's monomials only, and gamma! [z^gamma] read off
+its terms.  On a pair (f, f), the binomial expansion uses D^gamma f.g =
+(-1)^|gamma| D^gamma g.f: it returns zero for odd |gamma| and otherwise
+sums half the splittings, doubling the terms whose mirror it skips.
 
 The hierarchy generator expands
 
@@ -45,11 +46,12 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 from .monomial import (
     MAX_INDEX,
     Mono,
+    _fields,
     _key_vars,
     graded_monomials,
     mono_mul,
@@ -129,19 +131,31 @@ def hirota_apply(p: Poly, f: Poly, g: Poly) -> Poly:
     return p._linear_image(_hirota_values(f, g).__getitem__, "x")
 
 
+def _z_degree(key: int) -> int:
+    """The z-degree of a key of the doubled alphabet: the sum of its
+    exponents at even indices, which sit in the odd slots."""
+    return sum(_fields(key)[1::2])
+
+
 def _doubled(f: Poly, sgn: int, top: int) -> Poly:
     """f(x + sgn*z) in the "v" alphabet, where x_n is v_n and z_n is v_(n+1),
-    without its terms of z-degree above top: a key's z-degree is the sum of
-    its exponents at even indices."""
+    without its terms of z-degree above top."""
     return f._substituted({n: Poly.variable(n, "v") + Poly.variable(n + 1, "v") * sgn
                            for n in f.support_indices()}, "v")._filtered(
-        lambda key: sum(e for n, _, e in _key_vars(key, 1) if n % 2 == 0) <= top)
+        lambda key: _z_degree(key) <= top)
+
+
+def _z_parts(h: Poly, top: int) -> list[Poly]:
+    """The parts of h of z-degree 0, 1, ..., top; each key's degree is
+    computed once."""
+    degree = cache(_z_degree)
+    return [h._filtered(lambda key: degree(key) == d) for d in range(top + 1)]
 
 
 def hirota_apply_taylor(p: Poly, f: Poly, g: Poly) -> Poly:
-    """Evaluate P(D) f.g literally: form f(x+z) g(x-z) as one product in
-    doubled variables and read off gamma! times the z^gamma coefficient
-    for each monomial of P.
+    """Evaluate P(D) f.g literally: form f(x+z) g(x-z) in doubled variables
+    at the z-degrees of P's monomials only and read off gamma! times the
+    z^gamma coefficient for each monomial of P.
 
     Independent of hirota_apply: no derivatives, no binomial
     coefficients.  Intended for small inputs.  z_n takes the index n + 1
@@ -159,15 +173,20 @@ def hirota_apply_taylor(p: Poly, f: Poly, g: Poly) -> Poly:
         gamma: cg * math.prod(math.factorial(e) for _, e in gamma)
         for gamma, cg in p.terms.items()
     }
+    fz, gz = _z_parts(_doubled(f, 1, top), top), _z_parts(_doubled(g, -1, top), top)
+    product = Poly.lincomb((
+        (fz[i] * gz[d - i], 1) for d in {sum(e for _, e in gamma) for gamma in scale}
+        for i in range(d + 1)
+    ), "v")
     out = accumulate({}, (
         (tuple(v for v in mono if v[0] % 2), c * scale[gamma])
-        for mono, c in (_doubled(f, 1, top) * _doubled(g, -1, top)).terms.items()
+        for mono, c in product.terms.items()
         if (gamma := tuple((n - 1, e) for n, e in mono if n % 2 == 0)) in scale
     ))
     return Poly(out, "x")
 
 
-@cache
+@lru_cache(maxsize=128)
 def _weight_slice(w: int) -> dict[Mono, Poly]:
     """Every nonzero raw equation of y-weight w, by y-monomial.  Each
     D^mu / mu!, the y^mu coefficient of exp(sum_n y_n D_n), pairs with the
@@ -190,7 +209,7 @@ def _weight_slice(w: int) -> dict[Mono, Poly]:
     return {key: val for key, items in pairs.items() if (val := Poly.lincomb(items, "D"))}
 
 
-@cache
+@lru_cache(maxsize=128)
 def _weight_monomials(w: int) -> tuple[Mono, ...]:
     """The y-monomials of weight exactly w, in canonical order."""
     return tuple(m for m in graded_monomials(w) if mono_weight(m) == w)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 
 from .fermion import apply_phi, q_lambda
 from .ring import Poly
@@ -55,7 +55,7 @@ def _slot_coeffs(part: int, a: ParamSeq) -> tuple[tuple[int, Fraction], ...]:
     return _prefix_slot_coeffs(part, a.prefix(part - 1))
 
 
-@cache
+@lru_cache(maxsize=256)
 def _prefix_slot_coeffs(part: int, prefix: tuple) -> tuple[tuple[int, Fraction], ...]:
     es = elem_syms(prefix, part - 1)
     return tuple(

@@ -31,10 +31,18 @@ The public face stays tuple monomials (Mono): constructors, check_mono,
 coeff and from_mono take them, and terms, canonical_terms, text, JSON
 and pickling give them back.  A key is decoded (_decode) only at that
 boundary: terms is a read-only view that decodes a key, and turns its
-numerator into a Fraction, when it is read, and keeps no copy.  Code
-outside this module reads the integer form only through the private
+numerator into a Fraction, when it is read, and keeps no copy.  The
+ordered outputs (canonical_terms, Poly.text, Tensor.text and the JSON
+form, through _canonical_texts) read each key through _canonical, one
+bounded functools.lru_cache of its canonical form: the sort key and the
+tuple monomial, formed once per key and family while the key stays
+cached.  A record is an immutable tuple, so no caller can change the
+cache through an output.
+
+Code outside this module reads the integer form only through the private
 methods of Poly (_make, _linear_image, _substituted, _rescaled,
-_filtered, _renamings, _div_linear, _canonical_texts) and Tensor (_key_terms).
+_filtered, _renamings, _div_linear, _canonical_texts) and Tensor
+(_key_terms).
 The maps handed to _linear_image receive packed keys: the per-monomial
 phi_m cache keys on them as they are, and the D^gamma map of the Hirota
 evaluator and _substituted, the one substitution routine (the oracle's
@@ -54,7 +62,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Hashable, ItemsView, Iterable, Iterator, Mapping
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import lshift, or_
 
 from .monomial import (
@@ -178,16 +186,28 @@ def _ratio_text(n: int, den: int) -> str:
 
 def _signed_sum(terms: Iterable[tuple[str, str]]) -> str:
     """'a*m1 - b*m2 + ...' from (coefficient text, monomial text) pairs in
-    order; an empty monomial text prints the coefficient alone."""
+    order; an empty monomial text prints the coefficient alone.  Each term
+    is formatted once, with its separator, into the one list joined."""
     pieces = []
     for c, body in terms:
-        sign, mag = ("-", c[1:]) if c[0] == "-" else ("+", c)
-        pieces.append((sign, f"{mag}*{body}" if body else mag))
+        sep, mag = (" - ", c[1:]) if c[0] == "-" else (" + ", c)
+        pieces.append(f"{sep}{mag}*{body}" if body else sep + mag)
     if not pieces:
         return "0"
-    sign0, body0 = pieces[0]
-    head = body0 if sign0 == "+" else "-" + body0
-    return head + "".join(f" {s} {b}" for s, b in pieces[1:])
+    head = pieces[0]
+    pieces[0] = head[3:] if head[1] == "+" else "-" + head[3:]
+    return "".join(pieces)
+
+
+@lru_cache(maxsize=16384)
+def _canonical(key: int, family: str) -> tuple[tuple, Mono]:
+    """The canonical form of one packed monomial key of a family, as an
+    immutable record (sort key, tuple monomial): the key's _key_sort and
+    its _decode.  Every text and JSON output reads a key through this
+    record, so each key is sorted and decoded once while it stays in the
+    cache."""
+    step = _STEP[family]
+    return _key_sort(key, step), _decode(key, step)
 
 
 class _Terms(Mapping):
@@ -598,26 +618,29 @@ class Poly(_IntegerForm):
         return Fraction(sum(nums.values()), den)
 
     # ------------------------------------------------------------------
+    def _canonical_rows(self) -> list[tuple[tuple, int]]:
+        """(canonical record, numerator) pairs in the canonical monomial
+        order, sorted on the records' cached sort keys."""
+        family = self.family
+        rows = [(_canonical(k, family), n) for k, n in self._nums.items()]
+        rows.sort(key=lambda row: row[0][0])
+        return rows
+
     def canonical_terms(self) -> list[tuple[Mono, Fraction]]:
         den = self._den
-        return [(m, Fraction(n, den)) for m, n in self._sorted_terms()]
+        return [(rec[1], Fraction(n, den)) for rec, n in self._canonical_rows()]
 
-    def _sorted_terms(self) -> list[tuple[Mono, int]]:
-        """(monomial, numerator) pairs in the canonical monomial order."""
-        step = _STEP[self.family]
-        items = sorted(self._nums.items(), key=lambda item: _key_sort(item[0], step))
-        return [(_decode(k, step), n) for k, n in items]
-
-    def _canonical_texts(self) -> list[tuple[Mono, str]]:
-        """canonical_terms with each coefficient as str() prints its
-        Fraction, formatted from the integer form."""
+    def _canonical_texts(self) -> list[tuple[tuple, str]]:
+        """(canonical record, coefficient text) pairs in the canonical
+        monomial order, each coefficient as str() prints its Fraction,
+        formatted from the integer form."""
         den = self._den
-        return [(m, _ratio_text(n, den)) for m, n in self._sorted_terms()]
+        return [(rec, _ratio_text(n, den)) for rec, n in self._canonical_rows()]
 
     def text(self, letter: str | None = None) -> str:
         """Canonical text form, e.g. '4/3*p1^3 - 4/3*p3'."""
         letter = letter or FAMILY_LETTERS[self.family]
-        return _signed_sum((c, mono_text(m, letter)) for m, c in self._canonical_texts())
+        return _signed_sum((c, mono_text(rec[1], letter)) for rec, c in self._canonical_texts())
 
     def __str__(self) -> str:
         return self.text()
@@ -709,14 +732,19 @@ class Tensor(_IntegerForm):
     __rmul__ = __mul__
 
     def text(self) -> str:
+        """Canonical text form, ordered by the left and then the right
+        monomial.  Each distinct key reads its record and is printed once;
+        the terms sort on one int per term, the pair of the keys' ranks."""
         den = self._den
-        pieces = []
-        for keys, n in sorted(self._nums.items(), key=lambda item: tuple(map(_key_sort, item[0]))):
-            ml, mr = self._monomial(keys)
-            pieces.append((_ratio_text(n, den),
-                           f"({mono_text(ml, 'p') if ml else '1'} (x) "
-                           f"{mono_text(mr, 'p') if mr else '1'})"))
-        return _signed_sum(pieces)
+        recs = {k: _canonical(k, "p") for k in {k for pair in self._nums for k in pair}}
+        rank = {k: i for i, k in enumerate(sorted(recs, key=lambda k: recs[k][0]))}
+        width = len(rank)
+        texts = {k: mono_text(rec[1], "p") or "1" for k, rec in recs.items()}
+        return _signed_sum(
+            (_ratio_text(n, den), f"({texts[kl]} (x) {texts[kr]})")
+            for (kl, kr), n in sorted(self._nums.items(),
+                                      key=lambda item: rank[item[0][0]] * width + rank[item[0][1]])
+        )
 
     def __repr__(self) -> str:
         return f"Tensor({self.text()})"

@@ -4,7 +4,12 @@ A polynomial serializes as {"vars": <family>, "terms": [...]} where each
 term is {"mono": {"<index>": <exponent>, ...}, "coef": "<rational>"}.
 Terms are emitted in the canonical monomial order and coefficients as
 exact rational strings, so serialization is deterministic and parsing
-followed by re-serialization is the identity.
+followed by re-serialization is the identity.  The order and the
+monomial of each "mono" object come from the ring's cached canonical
+form of the monomial key (ring._canonical), so a key is sorted and
+decoded once however many polynomials print it; every call builds its
+own "terms" list and "mono" dicts, so changing one output leaves the
+next unchanged.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ def poly_to_json_dict(f: Poly) -> dict:
     return {
         "vars": f.family,
         "terms": [
-            {"mono": {str(n): e for n, e in mono}, "coef": c}
-            for mono, c in f._canonical_texts()
+            {"mono": {str(n): e for n, e in rec[1]}, "coef": c}
+            for rec, c in f._canonical_texts()
         ],
     }
 

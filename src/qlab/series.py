@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from collections.abc import Iterable, Sequence
 
 from .ring import Poly, Scalar, _frozen, _parse_rational
@@ -161,7 +161,7 @@ def log_series_by_inversion(ss: Sequence, k: int) -> list:
     return xs
 
 
-@cache
+@lru_cache(maxsize=256)
 def schur_q_row(k: int) -> Poly:
     """The one-row Schur Q-function Q_k in odd power sums.
 

@@ -13,6 +13,7 @@ from qlab import (
     HierarchyReport,
     bkp_check,
     bkp_generate,
+    clear_caches,
     equation_listing,
     exp_series,
     hirota_apply,
@@ -362,6 +363,8 @@ def test_verifiers_and_construction_decode_no_key(monkeypatch):
     assert is_bkp_tau_bilinear(tau)[0]
     assert bkp_check(tau, 12).passed
     assert calls == []
-    # The boundary does decode, so the counter is live.
+    # The boundary does decode, so the counter is live.  Keys printed
+    # before are in the canonical-form cache, so it starts empty here.
+    clear_caches()
     assert tau.text().startswith("16/14175*p1^12 + ")
     assert calls.count("_decode") == len(tau.terms)

@@ -31,8 +31,8 @@ from qlab import (
     tensor_map,
     tensor_of,
 )
-from qlab import monomial
-from qlab.monomial import MAX_EXPONENT, mono_degree, mono_sort_key, mono_weight
+from qlab import monomial, ring
+from qlab.monomial import FAMILY_LETTERS, MAX_EXPONENT, mono_degree, mono_sort_key, mono_text, mono_weight
 from qlab.ring import accumulate
 
 deterministic = settings(derandomize=True, deadline=None, database=None)
@@ -397,3 +397,44 @@ def test_canonical_order_of_packed_keys(case):
     family, monos_ = case
     f = Poly({m: 1 for m in monos_}, family)
     assert [m for m, _ in f.canonical_terms()] == sorted(set(monos_), key=mono_sort_key)
+
+
+def signed_text(pieces) -> str:
+    """The text form of (Fraction, monomial text) pairs in order, written
+    out term by term as the printed form is specified."""
+    out = ""
+    for c, body in pieces:
+        mag = f"{abs(c)}*{body}" if body else str(abs(c))
+        out += (mag if c > 0 else "-" + mag) if not out else (" + " if c > 0 else " - ") + mag
+    return out or "0"
+
+
+@deterministic
+@given(st.sampled_from(["p", "v"]).flatmap(
+    lambda fam: st.tuples(st.just(fam), st.lists(family_monos(fam, 12, 4), max_size=12),
+                          st.integers(1, 4))))
+def test_canonical_records_sort_as_mono_sort_key(case):
+    """The rows of every output path come in mono_sort_key order and each
+    record holds the key's monomial, whether the key was in the
+    canonical-form cache before or not."""
+    family, monos_, stride = case
+    ring._canonical.cache_clear()
+    Poly({m: 1 for m in monos_[::stride]}, family).text()
+    f = Poly({m: Fraction(len(m) - 2, 3) or 1 for m in monos_}, family)
+    rows = f._canonical_rows()
+    expect = sorted(set(monos_), key=mono_sort_key)
+    assert [rec[1] for rec, _ in rows] == expect
+    assert [rec[0] for rec, _ in rows] == sorted(rec[0] for rec, _ in rows)
+    letter = FAMILY_LETTERS[family]
+    assert f.text() == signed_text((f.terms[m], mono_text(m, letter)) for m in expect)
+
+
+@deterministic
+@given(st.lists(st.tuples(family_monos("p", 12, 4), family_monos("p", 12, 4),
+                          wide_coefs.filter(bool)), max_size=10))
+def test_tensor_text_orders_by_left_then_right(triples):
+    t = Tensor.lincomb((Poly.from_mono(ml), Poly.from_mono(mr), c) for ml, mr, c in triples)
+    order = sorted(t.terms, key=lambda pair: (mono_sort_key(pair[0]), mono_sort_key(pair[1])))
+    assert t.text() == signed_text(
+        (t.terms[pair], f"({mono_text(pair[0], 'p') or 1} (x) {mono_text(pair[1], 'p') or 1})")
+        for pair in order)
