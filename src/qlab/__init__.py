@@ -74,7 +74,7 @@ def clear_caches() -> None:
     rebuilds what it needs and returns an equal result."""
     from . import fermion, hirota, multiparam, ring, series
 
-    for cached in (fermion._shift_coeffs, fermion._phi_mono, fermion._q_lambda,
+    for cached in (fermion._phi_mono, fermion._q_lambda,
                    hirota._weight_slice, hirota._weight_monomials,
                    multiparam._prefix_slot_coeffs, ring._canonical, series.schur_q_row):
         cached.cache_clear()

@@ -175,7 +175,12 @@ def _cmd_check_bilinear(args) -> int:
         print("PASS: bilinear identity holds")
         return 0
     print("FAIL: bilinear identity violated")
-    print(f"discrepancy: {discrepancy.text()}")
+    # Written piece by piece, so the text of a large discrepancy (tens of
+    # megabytes at weight 33) is never held whole.
+    out = sys.stdout
+    out.write("discrepancy: ")
+    out.writelines(discrepancy._text_pieces())
+    out.write("\n")
     return 1
 
 

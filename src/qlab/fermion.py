@@ -18,21 +18,24 @@ The bilinear map apply_omega and the solution test is_bkp_tau_bilinear
 express the hierarchy's bilinear identity
 sum_n (-1)^n phi_n tau (x) phi_{-n} tau = tau (x) tau.
 
-Since every g_k is linear, the one formula sum_k Q_{m+k} g_k (_phi_from)
-can be summed in two orders, and each route uses the one that wins on
-it.  apply_phi, and with it q_lambda and the multiparameter
-constructions, goes monomial by monomial: the image of phi_m on one
-monomial is cached (_phi_mono), and every Q-function of one weight
-shares those images (Q_4 and Q_{3,1} both have the monomials p1^4 and
-p1 p3).  is_bkp_tau_bilinear forms g_k(tau) once for the whole tau and
-then phi_m tau from it; on a tau function the per-monomial images
-cancel heavily, so summing g_k(tau) first does far less work.  The
-whole-f order is not used for apply_phi: building Q-functions applies
-phi to many polynomials that share monomials, and without the shared
-per-monomial images construction is slower.  apply_omega keeps the
-per-monomial route on each pair of monomials, so
-apply_omega(f (x) f) - f (x) f is an independent cross-check of the
-verifier.
+Two derivations of the images serve two routes.  is_bkp_tau_bilinear
+forms g_k(tau) once for the whole tau and then phi_m tau from the sum
+above (_phi_from); on a tau function the per-monomial images cancel
+heavily, so summing g_k(tau) first does far less work.  apply_phi, and
+with it q_lambda and the multiparameter constructions, goes monomial by
+monomial: the image of phi_m on one monomial is cached (_phi_mono), and
+every Q-function of one weight shares those images (Q_4 and Q_{3,1} both
+have the monomials p1^4 and p1 p3).  An image is built by the
+commutation rule phi_m(p_n f) = p_n phi_m f - phi_{m+n} f, which the
+shift p_n -> p_n - v^n of the exponential gives (N. Jing, "Vertex
+operators, symmetric functions, and the spin group Gamma_n", J. Algebra
+138, 1991): one product by a variable and one difference of two images
+of a smaller monomial, down to phi_m(1) = Q_m.  The whole-f order is not
+used for apply_phi: building Q-functions applies phi to many
+polynomials that share monomials, and without the shared per-monomial
+images construction is slower.  apply_omega keeps the per-monomial
+route on each pair of monomials, so apply_omega(f (x) f) - f (x) f
+checks the verifier's g_k against the commutation rule.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
-from .monomial import _key_weight
+from .monomial import _key_vars, _key_weight
 from .ring import LazyMap, Poly, Tensor
 from .series import schur_q_row
 
@@ -67,13 +70,6 @@ def exp_derivation_coeffs(f: Poly, sign: int = -1) -> list[Poly]:
     return out
 
 
-@lru_cache(maxsize=1024)
-def _shift_coeffs(key: int) -> tuple[Poly, ...]:
-    """g_0, g_1, ... of one monomial, given as its packed key:
-    exp_derivation_coeffs with sign -1, which every phi_m shares."""
-    return tuple(exp_derivation_coeffs(Poly._make({key: 1}, 1, "p"), sign=-1))
-
-
 def _phi_from(m: int, gs: Sequence[Poly]) -> Poly:
     """phi_m f = sum_k Q_{m+k} g_k(f), from the shift coefficients
     gs = g_0(f), g_1(f), ... of f."""
@@ -82,10 +78,23 @@ def _phi_from(m: int, gs: Sequence[Poly]) -> Poly:
     )
 
 
-@lru_cache(maxsize=2048)
+# The bound trades memory for time on deep Q-functions: building
+# q(17,11,7,5,3,1) forms 1,646 distinct images (ROADMAP item 5).
+@lru_cache(maxsize=512)
 def _phi_mono(m: int, key: int) -> Poly:
-    """phi_m on the monomial with the packed key."""
-    return _phi_from(m, _shift_coeffs(key))
+    """phi_m on the monomial with the packed key, by the commutation rule
+    of the module docstring: phi_m(1) = Q_m, an image of weight
+    m + weight(key) < 0 is zero, and otherwise the highest variable p_n
+    is peeled off.  Peeling the lowest variable first would reach far
+    more distinct (m, key) pairs on the monomials of a deep Q-function.
+    """
+    if not key:
+        return schur_q_row(m)
+    if m + _key_weight(key) < 0:
+        return Poly.zero()
+    n, unit, _ = _key_vars(key)[-1]
+    rest = key - unit
+    return Poly.variable(n) * _phi_mono(m, rest) - _phi_mono(m + n, rest)
 
 
 def apply_phi(m: int, f: Poly) -> Poly:

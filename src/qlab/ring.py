@@ -184,19 +184,23 @@ def _ratio_text(n: int, den: int) -> str:
     return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
-def _signed_sum(terms: Iterable[tuple[str, str]]) -> str:
-    """'a*m1 - b*m2 + ...' from (coefficient text, monomial text) pairs in
-    order; an empty monomial text prints the coefficient alone.  Each term
-    is formatted once, with its separator, into the one list joined."""
-    pieces = []
+def _signed_pieces(terms: Iterable[tuple[str, str]]) -> Iterator[str]:
+    """The pieces of 'a*m1 - b*m2 + ...' from (coefficient text, monomial
+    text) pairs in order, each term formatted with its separator when it
+    is read; an empty monomial text prints the coefficient alone, and no
+    terms print '0'."""
+    first = True
     for c, body in terms:
-        sep, mag = (" - ", c[1:]) if c[0] == "-" else (" + ", c)
-        pieces.append(f"{sep}{mag}*{body}" if body else sep + mag)
-    if not pieces:
-        return "0"
-    head = pieces[0]
-    pieces[0] = head[3:] if head[1] == "+" else "-" + head[3:]
-    return "".join(pieces)
+        neg = c[0] == "-"
+        mag = c[1:] if neg else c
+        term = f"{mag}*{body}" if body else mag
+        if first:
+            yield "-" + term if neg else term
+            first = False
+        else:
+            yield (" - " if neg else " + ") + term
+    if first:
+        yield "0"
 
 
 @lru_cache(maxsize=16384)
@@ -640,7 +644,8 @@ class Poly(_IntegerForm):
     def text(self, letter: str | None = None) -> str:
         """Canonical text form, e.g. '4/3*p1^3 - 4/3*p3'."""
         letter = letter or FAMILY_LETTERS[self.family]
-        return _signed_sum((c, mono_text(rec[1], letter)) for rec, c in self._canonical_texts())
+        return "".join(_signed_pieces(
+            (c, mono_text(rec[1], letter)) for rec, c in self._canonical_texts()))
 
     def __str__(self) -> str:
         return self.text()
@@ -733,17 +738,22 @@ class Tensor(_IntegerForm):
 
     def text(self) -> str:
         """Canonical text form, ordered by the left and then the right
-        monomial.  Each distinct key reads its record and is printed once;
-        the terms sort on one int per term, the pair of the keys' ranks."""
-        den = self._den
-        recs = {k: _canonical(k, "p") for k in {k for pair in self._nums for k in pair}}
+        monomial."""
+        return "".join(self._text_pieces())
+
+    def _text_pieces(self) -> Iterator[str]:
+        """The pieces of text() in order, each formatted when it is read, so
+        a caller can write a large tensor out without holding its text.
+        Each distinct key reads its record and is printed once; the terms
+        sort on one int per term, the pair of the keys' ranks."""
+        nums, den = self._nums, self._den
+        recs = {k: _canonical(k, "p") for k in {k for pair in nums for k in pair}}
         rank = {k: i for i, k in enumerate(sorted(recs, key=lambda k: recs[k][0]))}
         width = len(rank)
         texts = {k: mono_text(rec[1], "p") or "1" for k, rec in recs.items()}
-        return _signed_sum(
-            (_ratio_text(n, den), f"({texts[kl]} (x) {texts[kr]})")
-            for (kl, kr), n in sorted(self._nums.items(),
-                                      key=lambda item: rank[item[0][0]] * width + rank[item[0][1]])
+        return _signed_pieces(
+            (_ratio_text(nums[pair], den), f"({texts[pair[0]]} (x) {texts[pair[1]]})")
+            for pair in sorted(nums, key=lambda pair: rank[pair[0]] * width + rank[pair[1]])
         )
 
     def __repr__(self) -> str:

@@ -24,6 +24,7 @@ from qlab import (
 )
 
 from qlab import fermion
+from qlab.monomial import _pack
 
 from conftest import RANDOM_A, rand_fraction
 
@@ -109,6 +110,26 @@ def test_exp_derivation_coeffs():
         exp_derivation_coeffs(f, sign=2)
     with pytest.raises(ValueError):
         exp_derivation_coeffs(Poly.variable(1, "x"))
+
+
+def test_phi_commutation_rule_matches_shift_coefficients():
+    # The cached images peel one variable at a time by
+    # phi_m(p_n f) = p_n phi_m f - phi_{m+n} f; the verifier's route sums
+    # Q_{m+k} g_k over the shift coefficients g_k of the monomial.
+    fermion._phi_mono.cache_clear()
+    for mono in graded_monomials(12):
+        f = Poly.from_mono(mono)
+        gs = exp_derivation_coeffs(f)
+        w = f.weight()
+        for m in range(-w - 2, 11):
+            assert fermion._phi_mono(m, _pack(mono, 2)) == fermion._phi_from(m, gs), (m, mono)
+
+
+def test_phi_deep_annihilation_chain():
+    # Each of the 255 factors p1 is one level of the commutation rule.
+    f = Poly.variable(1, exponent=255)
+    assert apply_phi(-255, f) == Poly.const(-1)
+    assert apply_phi(-254, f) == Poly.variable(1) * 253
 
 
 def test_exp_derivation_signs_cancel():

@@ -344,7 +344,7 @@ def test_verifiers_and_construction_decode_no_key(monkeypatch):
     verifiers work on packed monomial keys throughout: no tuple monomial
     is merged and no key is decoded back into one."""
     bkp_generate(12)
-    for cached in (fermion._q_lambda, fermion._phi_mono, fermion._shift_coeffs):
+    for cached in (fermion._q_lambda, fermion._phi_mono):
         cached.cache_clear()
     calls = []
 

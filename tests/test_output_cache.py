@@ -18,9 +18,8 @@ from qlab import (
 )
 from qlab import fermion, hirota, multiparam, ring, series
 
-CACHES = (fermion._shift_coeffs, fermion._phi_mono, fermion._q_lambda, hirota._weight_slice,
-          hirota._weight_monomials, multiparam._prefix_slot_coeffs, series.schur_q_row,
-          ring._canonical)
+CACHES = (fermion._phi_mono, fermion._q_lambda, hirota._weight_slice, hirota._weight_monomials,
+          multiparam._prefix_slot_coeffs, series.schur_q_row, ring._canonical)
 
 
 def test_json_output_is_fresh_for_each_call():
