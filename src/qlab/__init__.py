@@ -50,7 +50,15 @@ from .oracle import (
     qa_sym,
     qa_sym_at,
 )
-from .ring import Poly, Scalar, Tensor, strict_partitions, tensor_map, tensor_of
+from .ring import (
+    Poly,
+    Scalar,
+    Tensor,
+    clear_caches,
+    strict_partitions,
+    tensor_map,
+    tensor_of,
+)
 from .serialize import poly_from_json_dict, poly_to_json_dict
 from .series import (
     ParamSeq,
@@ -66,18 +74,6 @@ from .series import (
 )
 
 __version__ = "0.1.0"
-
-
-def clear_caches() -> None:
-    """Empty every process-wide cache of the package.  Each is a bounded
-    functools.lru_cache, so clearing only frees memory: a later call
-    rebuilds what it needs and returns an equal result."""
-    from . import fermion, hirota, multiparam, ring, series
-
-    for cached in (fermion._phi_mono, fermion._q_lambda,
-                   hirota._weight_slice, hirota._weight_monomials,
-                   multiparam._prefix_slot_coeffs, ring._canonical, series.schur_q_row):
-        cached.cache_clear()
 
 
 __all__ = [

@@ -30,8 +30,9 @@ an input whose computation would pass the ring's exponent bound), 3
 internal error (an unexpected exception, reported on stderr).  The
 environment variable QLAB_MAX_WEIGHT caps the accepted --max-weight and
 --max-sum values, the weight of a q/qa index vector (the sum of the
-absolute values of its entries) and the weight of a json: tau.  Unset, the
---max-weight of hierarchy and check-bkp is capped at
+absolute values of its entries), its length (an entry of zero adds no
+weight but one level of recursion) and the weight of a json: tau.  Unset,
+the --max-weight of hierarchy and check-bkp is capped at
 DEFAULT_MAX_HIERARCHY_WEIGHT (32), since generating the hierarchy costs
 about 1.7-1.8 times as much for each 2 of weight, and every other cap is
 DEFAULT_MAX_WEIGHT (64).
@@ -75,6 +76,7 @@ def _parse_vector(text: str, positive: bool = False) -> tuple[int, ...]:
     if positive and any(v <= 0 for v in vec):
         raise ValueError(f"index vector must have positive entries: {text!r}")
     _weight_cap(sum(map(abs, vec)))
+    _weight_cap(len(vec), what="index vector length")
     return vec
 
 
@@ -106,7 +108,11 @@ def _load_tau(spec: str) -> Poly:
         return _multiparam(body, params)
     if kind == "json":
         with open(rest, encoding="utf-8") as fh:
-            poly = poly_from_json_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"tau file {rest!r} is nested too deeply") from None
+        poly = poly_from_json_dict(data)
         if poly.family not in ("p", "x"):
             raise ValueError("tau polynomial must use vars 'p' or 'x'")
         _weight_cap(poly.weight())
@@ -121,7 +127,7 @@ def _max_weight(w: int) -> int:
     return w
 
 
-def _weight_cap(requested: int, default: int = DEFAULT_MAX_WEIGHT) -> None:
+def _weight_cap(requested: int, default: int = DEFAULT_MAX_WEIGHT, what: str = "weight") -> None:
     cap = os.environ.get("QLAB_MAX_WEIGHT", str(default))
     try:
         cap_val = int(cap)
@@ -129,7 +135,7 @@ def _weight_cap(requested: int, default: int = DEFAULT_MAX_WEIGHT) -> None:
         raise ValueError(f"invalid QLAB_MAX_WEIGHT value {cap!r}") from None
     if requested > cap_val:
         raise ValueError(
-            f"weight {requested} exceeds the QLAB_MAX_WEIGHT cap {cap_val}"
+            f"{what} {requested} exceeds the QLAB_MAX_WEIGHT cap {cap_val}"
         )
 
 

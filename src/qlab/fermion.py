@@ -43,10 +43,9 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import lru_cache
 
 from .monomial import _key_vars, _key_weight
-from .ring import LazyMap, Poly, Tensor
+from .ring import LazyMap, Poly, Tensor, _bounded_cache
 from .series import schur_q_row
 
 
@@ -79,8 +78,8 @@ def _phi_from(m: int, gs: Sequence[Poly]) -> Poly:
 
 
 # The bound trades memory for time on deep Q-functions: building
-# q(17,11,7,5,3,1) forms 1,646 distinct images (ROADMAP item 5).
-@lru_cache(maxsize=512)
+# q(17,11,7,5,3,1) forms 1,646 distinct images (ROADMAP item 1).
+@_bounded_cache(512)
 def _phi_mono(m: int, key: int) -> Poly:
     """phi_m on the monomial with the packed key, by the commutation rule
     of the module docstring: phi_m(1) = Q_m, an image of weight
@@ -113,7 +112,7 @@ def q_lambda(index: tuple[int, ...]) -> Poly:
     return _q_lambda(tuple(int(v) for v in index))
 
 
-@lru_cache(maxsize=2048)
+@_bounded_cache(2048)
 def _q_lambda(vec: tuple[int, ...]) -> Poly:
     return apply_phi(vec[0], _q_lambda(vec[1:])) if vec else Poly.one()
 

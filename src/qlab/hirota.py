@@ -46,7 +46,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 
 from .monomial import (
     MAX_INDEX,
@@ -58,7 +58,7 @@ from .monomial import (
     mono_text,
     mono_weight,
 )
-from .ring import LazyMap, Poly, accumulate
+from .ring import LazyMap, Poly, _bounded_cache, accumulate
 from .series import schur_q_row
 
 
@@ -186,7 +186,7 @@ def hirota_apply_taylor(p: Poly, f: Poly, g: Poly) -> Poly:
     return Poly(out, "x")
 
 
-@lru_cache(maxsize=128)
+@_bounded_cache(128)
 def _weight_slice(w: int) -> dict[Mono, Poly]:
     """Every nonzero raw equation of y-weight w, by y-monomial.  Each
     D^mu / mu!, the y^mu coefficient of exp(sum_n y_n D_n), pairs with the
@@ -209,7 +209,7 @@ def _weight_slice(w: int) -> dict[Mono, Poly]:
     return {key: val for key, items in pairs.items() if (val := Poly.lincomb(items, "D"))}
 
 
-@lru_cache(maxsize=128)
+@_bounded_cache(128)
 def _weight_monomials(w: int) -> tuple[Mono, ...]:
     """The y-monomials of weight exactly w, in canonical order."""
     return tuple(m for m in graded_monomials(w) if mono_weight(m) == w)

@@ -22,10 +22,9 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .fermion import apply_phi, q_lambda
-from .ring import Poly
+from .ring import Poly, _bounded_cache
 from .series import ParamSeq, elem_syms, shifted_transition
 
 
@@ -55,7 +54,7 @@ def _slot_coeffs(part: int, a: ParamSeq) -> tuple[tuple[int, Fraction], ...]:
     return _prefix_slot_coeffs(part, a.prefix(part - 1))
 
 
-@lru_cache(maxsize=256)
+@_bounded_cache(256)
 def _prefix_slot_coeffs(part: int, prefix: tuple) -> tuple[tuple[int, Fraction], ...]:
     es = elem_syms(prefix, part - 1)
     return tuple(

@@ -54,7 +54,10 @@ pure function, so values can be shared freely between threads or cached
 without copying.  Every sum of terms is formed by accumulate, the
 package's one sparse-accumulation kernel.  check_mono is the one test of
 what a monomial is, check_family the one test of what a variable family
-is, and LazyMap the package's one map filled on lookup.
+is, and LazyMap the package's one map filled on lookup.  Every
+process-wide cache is a bounded functools.lru_cache declared with
+_bounded_cache, which lists it in _CACHES, the package's one list of
+caches; clear_caches empties each cache on it.
 """
 
 from __future__ import annotations
@@ -142,6 +145,29 @@ class LazyMap(dict):
         return value
 
 
+# Every process-wide cache of the package, in import order.
+_CACHES: list = []
+
+
+def _bounded_cache(maxsize: int):
+    """functools.lru_cache(maxsize) that also registers the cached
+    function in _CACHES.  The decorator returns the lru_cache wrapper
+    itself, so a call goes through no further layer."""
+    def register(fn):
+        cached = lru_cache(maxsize=maxsize)(fn)
+        _CACHES.append(cached)
+        return cached
+    return register
+
+
+def clear_caches() -> None:
+    """Empty every process-wide cache of the package.  Each is a bounded
+    functools.lru_cache, so clearing only frees memory: a later call
+    rebuilds what it needs and returns an equal result."""
+    for cached in _CACHES:
+        cached.cache_clear()
+
+
 def _combine(parts: Iterable[tuple["_IntegerForm | _Outer", Scalar]]) -> tuple[dict, int]:
     """The sum of value * c over (value, c) parts, as numerators over the
     lcm of the values' denominators, not yet reduced.
@@ -203,7 +229,7 @@ def _signed_pieces(terms: Iterable[tuple[str, str]]) -> Iterator[str]:
         yield "0"
 
 
-@lru_cache(maxsize=16384)
+@_bounded_cache(16384)
 def _canonical(key: int, family: str) -> tuple[tuple, Mono]:
     """The canonical form of one packed monomial key of a family, as an
     immutable record (sort key, tuple monomial): the key's _key_sort and

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from collections.abc import Iterable, Sequence
 
-from .ring import Poly, Scalar, _frozen, _parse_rational
+from .ring import Poly, Scalar, _bounded_cache, _frozen, _parse_rational
 
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
@@ -161,7 +160,7 @@ def log_series_by_inversion(ss: Sequence, k: int) -> list:
     return xs
 
 
-@lru_cache(maxsize=256)
+@_bounded_cache(256)
 def schur_q_row(k: int) -> Poly:
     """The one-row Schur Q-function Q_k in odd power sums.
 

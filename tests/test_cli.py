@@ -278,6 +278,26 @@ def test_weight_cap_json_tau(tmp_path, monkeypatch, capsys):
     assert run_cli(capsys, "check-bilinear", "--tau", f"json:{path}")[0] == 0
 
 
+def test_weight_cap_bounds_index_vector_length(monkeypatch, capsys):
+    """An entry of zero adds no weight but one level of recursion, so the
+    cap also bounds the number of entries: 600 zeros would run out of
+    recursion depth."""
+    monkeypatch.delenv("QLAB_MAX_WEIGHT", raising=False)
+    result = run_cli(capsys, "q", ",".join(["0"] * 65))
+    assert_capped(result)
+    assert result[2] == "error: index vector length 65 exceeds the QLAB_MAX_WEIGHT cap 64\n"
+    assert run_cli(capsys, "q", ",".join(["0"] * 64)) == (0, "1\n", "")
+
+
+def test_deeply_nested_json_tau_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_cli(capsys, "check-bilinear", "--tau", f"json:{path}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "nested too deeply" in err
+
+
 def test_serialize_round_trip():
     f = q_lambda((3, 1)) + Poly.one("p") * F(7, 2)
     assert poly_from_json_dict(poly_to_json_dict(f)) == f

@@ -25,7 +25,7 @@ from qlab import (
     schur_q_row,
     x_to_p,
 )
-from qlab import fermion, hirota, ring
+from qlab import hirota, ring
 from qlab.monomial import MAX_INDEX, graded_monomials, mono_degree, mono_sort_key, mono_text, mono_weight
 
 from conftest import rand_poly
@@ -343,9 +343,8 @@ def test_verifiers_and_construction_decode_no_key(monkeypatch):
     """With the hierarchy slices cached, building a Q-function and both
     verifiers work on packed monomial keys throughout: no tuple monomial
     is merged and no key is decoded back into one."""
+    clear_caches()
     bkp_generate(12)
-    for cached in (fermion._q_lambda, fermion._phi_mono):
-        cached.cache_clear()
     calls = []
 
     def counted(module, name):

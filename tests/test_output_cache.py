@@ -16,10 +16,28 @@ from qlab import (
     q_lambda,
     strict_partitions,
 )
-from qlab import fermion, hirota, multiparam, ring, series
+from qlab import ring, series
 
-CACHES = (fermion._phi_mono, fermion._q_lambda, hirota._weight_slice, hirota._weight_monomials,
-          multiparam._prefix_slot_coeffs, series.schur_q_row, ring._canonical)
+CACHES = ring._CACHES
+
+
+def cache_name(cached):
+    return f"{cached.__module__}.{cached.__qualname__}"
+
+
+def test_cache_registry_names_every_cache():
+    """The registry holds exactly these caches, each an lru_cache wrapper
+    with its bound.  A cache added to or dropped from the package, or a
+    decorator turned back into a plain lru_cache, changes this list."""
+    assert sorted((cache_name(cached), cached.cache_info().maxsize) for cached in CACHES) == [
+        ("qlab.fermion._phi_mono", 512),
+        ("qlab.fermion._q_lambda", 2048),
+        ("qlab.hirota._weight_monomials", 128),
+        ("qlab.hirota._weight_slice", 128),
+        ("qlab.multiparam._prefix_slot_coeffs", 256),
+        ("qlab.ring._canonical", 16384),
+        ("qlab.series.schur_q_row", 256),
+    ]
 
 
 def test_json_output_is_fresh_for_each_call():
@@ -89,3 +107,24 @@ def test_clear_caches_empties_every_cache_and_results_stay_equal():
     clear_caches()
     assert [cached.cache_info().currsize for cached in CACHES] == [0] * len(CACHES)
     assert build() == before
+
+
+def test_no_cache_evicts_on_construct_or_weight_33():
+    """The bound rule of the README: building and printing every construct
+    input evicts from no cache, and neither does building the weight-33
+    Q-function that the bilinear CI step checks, so each miss is still an
+    entry.  Each run starts from empty caches, as each runs in a process
+    of its own; the two together form 750 images phi_m, over the 512 that
+    _phi_mono holds."""
+    def construct():
+        for polys in construct_outputs().values():
+            for f in polys:
+                json.dumps(poly_to_json_dict(f))
+                f.text()
+
+    for run in (construct, lambda: q_lambda((15, 9, 5, 3, 1))):
+        clear_caches()
+        run()
+        for cached in CACHES:
+            info = cached.cache_info()
+            assert info.misses == info.currsize, cache_name(cached)
