@@ -41,6 +41,7 @@ checks the verifier's g_k against the commutation rule.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -106,10 +107,11 @@ def apply_phi(m: int, f: Poly) -> Poly:
 def q_lambda(index: tuple[int, ...]) -> Poly:
     """The multi-index Schur Q-function phi_{l_1} ... phi_{l_r} (1).
 
-    Entries may be arbitrary integers; for strictly decreasing positive
-    indices this is the classical Schur Q-function of the partition.
+    Entries may be arbitrary integers, and a non-integral entry raises
+    TypeError; for strictly decreasing positive indices this is the
+    classical Schur Q-function of the partition.
     """
-    return _q_lambda(tuple(int(v) for v in index))
+    return _q_lambda(tuple(map(operator.index, index)))
 
 
 @_bounded_cache(2048)

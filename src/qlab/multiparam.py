@@ -7,9 +7,22 @@ contributes a factor ranging over lambda_i = 1..alpha_i with coefficient
 (-1)^(lambda_i - alpha_i) e_{alpha_i - lambda_i}(a_1..a_{alpha_i - 1}).
 At a = 0 only lambda = alpha survives and the classical function returns.
 
+The slot coefficients of one entry are kept in integer form: integer
+numerators over their least common denominator, so the expansion adds
+and multiplies ints and divides once at the end.  Each vector of the
+product is straightened to a strict partition before its classical
+function is read: phi_r phi_s = -phi_s phi_r for r + s != 0 and
+phi_r^2 = 0 for r != 0, so a positive vector is the signed Q of its
+sorted entries, or zero when two entries repeat.  On this route
+antisymmetry in the entries is therefore imposed, and each strict Q is
+built once.
+
 Equivalently, each slot applies the operator
 X_m = sum_{s=1..m} (-1)^(s-m) e_{m-s}(a_1..a_{m-1}) phi_s to 1, composing
-left to right; both routes are implemented and must agree.
+left to right; both routes are implemented and must agree.  The operator
+route never sorts a vector, so on it antisymmetry and the vanishing on
+repeated entries emerge from the operators, and it is the cross-check of
+the straightening.
 
 The expansion check verifies the defining property against the classical
 side: the coefficient of u^{-k} in 1/((u-a_1)...(u-a_lambda)) is
@@ -21,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
+import operator
 
 from .fermion import apply_phi, q_lambda
 from .ring import Poly, _bounded_cache
@@ -29,7 +42,7 @@ from .series import ParamSeq, elem_syms, shifted_transition
 
 
 def _positive(alpha: tuple[int, ...]) -> tuple[int, ...]:
-    vec = tuple(int(v) for v in alpha)
+    vec = tuple(map(operator.index, alpha))
     if any(v <= 0 for v in vec):
         raise ValueError("entries must be positive integers")
     return vec
@@ -41,26 +54,40 @@ def normalize_index(alpha: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     Returns (sign, sorted_desc) where sign is the signature of the
     sorting permutation, or (0, ()) when entries repeat.
     """
-    vec = _positive(alpha)
+    return _straighten(_positive(alpha))
+
+
+def _straighten(vec: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """normalize_index of a vector already checked by _positive."""
     if len(set(vec)) != len(vec):
         return (0, ())
     inversions = sum(a < b for a, b in itertools.combinations(vec, 2))
     return (-1 if inversions % 2 else 1, tuple(sorted(vec, reverse=True)))
 
 
-def _slot_coeffs(part: int, a: ParamSeq) -> tuple[tuple[int, Fraction], ...]:
-    """The (lambda, coefficient) pairs of one slot with a nonzero
-    coefficient.  a.prefix raises when a is too short."""
+def _slot_coeffs(part: int, a: ParamSeq) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The slot of one entry in integer form, (den, lambdas, numerators).
+    a.prefix raises when a is too short."""
     return _prefix_slot_coeffs(part, a.prefix(part - 1))
 
 
 @_bounded_cache(256)
-def _prefix_slot_coeffs(part: int, prefix: tuple) -> tuple[tuple[int, Fraction], ...]:
+def _prefix_slot_coeffs(part: int, prefix: tuple) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(den, lambdas, numerators): the lambda in 1..part whose coefficient
+    (-1)^(part - lambda) e_{part - lambda}(prefix) is nonzero, in
+    increasing order, and those coefficients as int numerators over den,
+    their least common denominator."""
     es = elem_syms(prefix, part - 1)
-    return tuple(
+    coeffs = [
         (lam, c if (part - lam) % 2 == 0 else -c)
         for lam in range(1, part + 1)
         if (c := es[part - lam])
+    ]
+    den = math.lcm(*(c.denominator for _, c in coeffs))
+    return (
+        den,
+        tuple(lam for lam, _ in coeffs),
+        tuple(c.numerator * (den // c.denominator) for _, c in coeffs),
     )
 
 
@@ -68,23 +95,38 @@ def multiparam_q(alpha: tuple[int, ...], a: ParamSeq) -> Poly:
     """The multiparameter Schur Q-function of a positive integer vector.
 
     Computed by the triangular expansion in classical multi-index
-    functions; antisymmetry in the entries and vanishing on repeated
-    entries are consequences, not special cases.
+    functions, with each slot's coefficients as int numerators over one
+    denominator.  Each vector of the expansion is straightened to a
+    strict partition with its sign, and one with a repeated entry is
+    dropped, so each strict Q is read once.  Antisymmetry in the entries
+    and vanishing on repeated entries are thus imposed on this route;
+    they emerge on multiparam_q_via_fermions, which never sorts a vector.
     """
-    slot_lists = [_slot_coeffs(part, a) for part in _positive(alpha)]
-    return Poly.lincomb(
-        (q_lambda(tuple(lam for lam, _ in combo)), math.prod(c for _, c in combo))
-        for combo in itertools.product(*slot_lists)
+    slots = [_slot_coeffs(part, a) for part in _positive(alpha)]
+    sums: dict[tuple[int, ...], int] = {}
+    for lams, nums in zip(
+        itertools.product(*(lams for _, lams, _ in slots)),
+        itertools.product(*(nums for _, _, nums in slots)),
+    ):
+        sign, lam = _straighten(lams)
+        if sign:
+            sums[lam] = sums.get(lam, 0) + sign * math.prod(nums)
+    return Poly._lincomb(
+        ((q_lambda(lam), c) for lam, c in sums.items()),
+        "p",
+        math.prod(den for den, _, _ in slots),
     )
 
 
 def multiparam_q_via_fermions(alpha: tuple[int, ...], a: ParamSeq) -> Poly:
     """The same function built by operator application: slot m applies
     X_m = sum_{s=1..m} (-1)^(s-m) e_{m-s}(a_1..a_{m-1}) phi_s,
-    composed with the first entry acting last."""
+    composed with the first entry acting last.  Each phi_s acts on the
+    polynomial as it stands, so no index vector is ever sorted."""
     f = Poly.one()
     for part in reversed(_positive(alpha)):
-        f = Poly.lincomb([(apply_phi(s, f), c) for s, c in _slot_coeffs(part, a)])
+        den, lams, nums = _slot_coeffs(part, a)
+        f = Poly._lincomb([(apply_phi(s, f), n) for s, n in zip(lams, nums)], "p", den)
     return f
 
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import cache
 
@@ -167,7 +168,7 @@ def _check_nvars(n_vars: int):
 
 
 def _strict_parts(lam: tuple[int, ...]) -> tuple[int, ...]:
-    lam = tuple(int(v) for v in lam)
+    lam = tuple(map(operator.index, lam))
     if any(v <= 0 for v in lam):
         raise ValueError("parts must be positive")
     if any(lam[i] <= lam[i + 1] for i in range(len(lam) - 1)):
@@ -182,7 +183,7 @@ def _power_shifts(lam: tuple[int, ...]) -> list[tuple[Fraction, ...]]:
 
 def _falling_shifts(alpha: tuple[int, ...], a: ParamSeq) -> list[tuple[Fraction, ...]]:
     """(a_0, ..., a_{alpha_k - 1}) for each entry alpha_k."""
-    alpha = tuple(int(v) for v in alpha)
+    alpha = tuple(map(operator.index, alpha))
     if any(v < 0 for v in alpha):
         raise ValueError("entries must be nonnegative")
     return [tuple(a.get(t) for t in range(part)) for part in alpha]

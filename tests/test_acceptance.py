@@ -27,6 +27,7 @@ from qlab import (
     log_series,
     log_series_by_inversion,
     multiparam_q,
+    multiparam_q_via_fermions,
     normalize_index,
     q_lambda,
     q_sym_at,
@@ -212,8 +213,11 @@ def test_criterion_7_multiparameter_correctness(capsys):
             for perm in itertools.permutations(base):
                 sign, _ = normalize_index(perm)
                 assert multiparam_q(perm, a) == ref * sign
+                assert multiparam_q_via_fermions(perm, a) == ref * sign
         assert multiparam_q((2, 2), a).is_zero()
         assert multiparam_q((3, 3), a).is_zero()
+        assert multiparam_q_via_fermions((2, 2), a).is_zero()
+        assert multiparam_q_via_fermions((3, 3), a).is_zero()
         assert qa_sym((1, 2), a, 3) == -qa_sym((2, 1), a, 3)
         assert qa_sym((2, 2), a, 3).is_zero()
         for _, a in families:

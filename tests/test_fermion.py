@@ -73,6 +73,12 @@ def test_q_lambda_examples():
     assert q_lambda((3,)) == schur_q_row(3)
 
 
+def test_q_lambda_rejects_non_integral_entries():
+    for index in [(2.7, 1.2), (2.0,), (F(3), 1), "31"]:
+        with pytest.raises(TypeError):
+            q_lambda(index)
+
+
 def test_q_lambda_prepend_is_phi():
     rng = random.Random(59)
     vectors = [(), (1,), (2,), (2, 1), (3, 1), (4, 2, 1)]

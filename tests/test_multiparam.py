@@ -1,6 +1,7 @@
 """Tests for multiparameter Q-functions and the expansion cross-check."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -16,7 +17,9 @@ from qlab import (
     normalize_index,
     q_lambda,
     schur_q_row,
+    strict_partitions,
 )
+from qlab.multiparam import _slot_coeffs
 
 from conftest import RANDOM_A
 
@@ -33,6 +36,12 @@ def test_normalize_index_examples():
         normalize_index((0, 1))
     with pytest.raises(ValueError):
         normalize_index((2, -1))
+
+
+def test_normalize_index_rejects_non_integral_entries():
+    for alpha in [(2.7, 1.2), (2.0,), (F(3), 1), "31"]:
+        with pytest.raises(TypeError):
+            normalize_index(alpha)
 
 
 def test_multiparam_examples():
@@ -56,19 +65,59 @@ def test_multiparam_zero_specialization():
 
 
 def test_multiparam_antisymmetry_emerges():
+    """multiparam_q straightens each vector, so on it these checks test
+    the straightening; multiparam_q_via_fermions never sorts a vector,
+    so on it antisymmetry and vanishing come from the operators alone."""
     a = RANDOM_A
-    base = multiparam_q((3, 1), a)
-    assert multiparam_q((1, 3), a) == -base
-    assert multiparam_q((2, 2), a).is_zero()
-    for perm in itertools.permutations((4, 2, 1)):
-        sign, _ = normalize_index(perm)
-        assert multiparam_q(perm, a) == multiparam_q((4, 2, 1), a) * sign
+    for build in (multiparam_q, multiparam_q_via_fermions):
+        base = build((3, 1), a)
+        assert build((1, 3), a) == -base
+        assert build((2, 2), a).is_zero()
+        for perm in itertools.permutations((4, 2, 1)):
+            sign, _ = normalize_index(perm)
+            assert build(perm, a) == build((4, 2, 1), a) * sign
 
 
 def test_multiparam_operator_route_agrees():
-    a = RANDOM_A
-    for alpha in [(1,), (2,), (3, 1), (2, 1), (1, 2), (4, 2, 1)]:
-        assert multiparam_q_via_fermions(alpha, a) == multiparam_q(alpha, a)
+    strict = [alpha for alpha in strict_partitions(9) if alpha]
+    unsorted = [
+        perm
+        for alpha in strict
+        for perm in itertools.permutations(alpha)
+        if perm != alpha
+    ]
+    repeated = [(1, 1), (2, 2), (3, 1, 3), (2, 4, 4), (1, 2, 1), (5, 5), (2, 1, 2, 1)]
+    for a in (ParamSeq.factorial(9), RANDOM_A):
+        for alpha in strict + unsorted + repeated:
+            if max(alpha) - 1 > a.max_index:
+                continue
+            assert multiparam_q_via_fermions(alpha, a) == multiparam_q(alpha, a), alpha
+
+
+def test_slot_coeffs_match_shifted_product():
+    """The integer slot form of entry m against its definition: Fraction(n,
+    den) is the coefficient of u^lambda in u (u - a_1) ... (u - a_(m-1)),
+    expanded here by plain Fraction list multiplication, and den is the
+    least common denominator of those coefficients."""
+    families = [
+        ParamSeq.zeros(10),
+        ParamSeq.factorial(10),
+        ParamSeq.parse("0,1/2,-1,3,2/3,-1/4,5,-2,1/3,7,-3/5"),
+    ]
+    for a in families:
+        for m in range(1, 11):
+            poly = [F(0), F(1)]  # u, lowest degree first
+            for j in range(1, m):
+                shifted = [F(0)] + poly
+                for i, c in enumerate(poly):
+                    shifted[i] -= a.get(j) * c
+                poly = shifted
+            den, lams, nums = _slot_coeffs(m, a)
+            assert all(isinstance(n, int) and n for n in nums)
+            assert {lam: F(n, den) for lam, n in zip(lams, nums)} == {
+                lam: c for lam, c in enumerate(poly) if c
+            }
+            assert den == math.lcm(*(c.denominator for c in poly))
 
 
 def test_multiparam_is_tau_function():
@@ -86,6 +135,9 @@ def test_multiparam_errors():
         multiparam_q((0,), RANDOM_A)
     with pytest.raises(ValueError):
         multiparam_q((-2, 1), RANDOM_A)
+    for alpha in [(2.5,), (2.7, 1.2), (2.0,), (F(3), 1), "31"]:
+        with pytest.raises(TypeError):
+            multiparam_q(alpha, RANDOM_A)
 
 
 def test_expansion_check_l1_zero_trivial():

@@ -52,6 +52,14 @@ def test_q_lambda_sym_validation():
         q_lambda_sym((2, 0), 3)
 
 
+def test_q_lambda_sym_rejects_non_integral_entries():
+    for lam in [(2.7, 1.2), (2.0,), (F(3), 1), "31"]:
+        with pytest.raises(TypeError):
+            q_lambda_sym(lam, 3)
+        with pytest.raises(TypeError):
+            qa_sym(lam, RANDOM_A, 3)
+
+
 def test_q_lambda_sym_matches_powersum_image():
     for lam in [(2,), (3,), (2, 1), (3, 1), (3, 2), (4, 1)]:
         for n_vars in (3, 4):
