@@ -7,12 +7,12 @@ contributes a factor ranging over lambda_i = 1..alpha_i with coefficient
 (-1)^(lambda_i - alpha_i) e_{alpha_i - lambda_i}(a_1..a_{alpha_i - 1}).
 At a = 0 only lambda = alpha survives and the classical function returns.
 
-The slot coefficients of one entry are kept in integer form: integer
-numerators over their least common denominator, so the expansion adds
-and multiplies ints and divides once at the end.  Each vector of the
-product is straightened to a strict partition before its classical
-function is read: phi_r phi_s = -phi_s phi_r for r + s != 0 and
-phi_r^2 = 0 for r != 0, so a positive vector is the signed Q of its
+The slot coefficients of entry m are those of u (u-a_1)...(u-a_{m-1}),
+int numerators over one denominator read off series._shifted_product, so
+the expansion adds and multiplies ints and divides once at the end.
+Each vector of the product is straightened to a strict partition before
+its classical function is read: phi_r phi_s = -phi_s phi_r for r + s != 0
+and phi_r^2 = 0 for r != 0, so a positive vector is the signed Q of its
 sorted entries, or zero when two entries repeat.  On this route
 antisymmetry in the entries is therefore imposed, and each strict Q is
 built once.
@@ -32,13 +32,14 @@ those coefficients must reproduce every classical multi-index function.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 
 from .fermion import apply_phi, q_lambda
-from .ring import Poly, _bounded_cache
-from .series import ParamSeq, elem_syms, shifted_transition
+from .ring import Poly, _bounded_cache, accumulate
+from .series import ParamSeq, _shifted_product, shifted_transition
 
 
 def _positive(alpha: tuple[int, ...]) -> tuple[int, ...]:
@@ -68,27 +69,16 @@ def _straighten(vec: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 def _slot_coeffs(part: int, a: ParamSeq) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """The slot of one entry in integer form, (den, lambdas, numerators).
     a.prefix raises when a is too short."""
-    return _prefix_slot_coeffs(part, a.prefix(part - 1))
+    return _prefix_slot_coeffs(a.prefix(part - 1))
 
 
 @_bounded_cache(256)
-def _prefix_slot_coeffs(part: int, prefix: tuple) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """(den, lambdas, numerators): the lambda in 1..part whose coefficient
-    (-1)^(part - lambda) e_{part - lambda}(prefix) is nonzero, in
-    increasing order, and those coefficients as int numerators over den,
-    their least common denominator."""
-    es = elem_syms(prefix, part - 1)
-    coeffs = [
-        (lam, c if (part - lam) % 2 == 0 else -c)
-        for lam in range(1, part + 1)
-        if (c := es[part - lam])
-    ]
-    den = math.lcm(*(c.denominator for _, c in coeffs))
-    return (
-        den,
-        tuple(lam for lam, _ in coeffs),
-        tuple(c.numerator * (den // c.denominator) for _, c in coeffs),
-    )
+def _prefix_slot_coeffs(prefix: tuple) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(den, lambdas, numerators) of entry len(prefix) + 1: each lambda with a
+    nonzero coefficient of u^lambda in u (u-a_1)...(u-a_len(prefix)), in
+    increasing order, and those coefficients as int numerators over den."""
+    den, nums = _shifted_product(prefix)
+    return den, tuple(lam for lam, c in enumerate(nums, start=1) if c), tuple(filter(None, nums))
 
 
 def multiparam_q(alpha: tuple[int, ...], a: ParamSeq) -> Poly:
@@ -103,14 +93,14 @@ def multiparam_q(alpha: tuple[int, ...], a: ParamSeq) -> Poly:
     they emerge on multiparam_q_via_fermions, which never sorts a vector.
     """
     slots = [_slot_coeffs(part, a) for part in _positive(alpha)]
-    sums: dict[tuple[int, ...], int] = {}
-    for lams, nums in zip(
-        itertools.product(*(lams for _, lams, _ in slots)),
-        itertools.product(*(nums for _, _, nums in slots)),
-    ):
-        sign, lam = _straighten(lams)
-        if sign:
-            sums[lam] = sums.get(lam, 0) + sign * math.prod(nums)
+    sums = accumulate({}, (
+        (lam, sign * math.prod(nums))
+        for (sign, lam), nums in zip(
+            map(_straighten, itertools.product(*(lams for _, lams, _ in slots))),
+            itertools.product(*(nums for _, _, nums in slots)),
+        )
+        if sign
+    ))
     return Poly._lincomb(
         ((q_lambda(lam), c) for lam, c in sums.items()),
         "p",
@@ -142,14 +132,14 @@ def check_multiparam_expansion(l: int, a: ParamSeq, order: int) -> bool:
         raise ValueError("only 1 or 2 index slots supported")
     if order < 1:
         raise ValueError("order must be positive")
+    built = functools.cache(lambda vec: multiparam_q(vec, a))
     coeff_rows = {
         lam: shifted_transition(lam, "inv_shifted_to_power", a, cutoff=order)
         for lam in range(1, order + 1)
     }
-    idx_range = range(1, order + 1)
-    for kvec in itertools.product(idx_range, repeat=l):
+    for kvec in itertools.product(range(1, order + 1), repeat=l):
         rhs = Poly.lincomb(
-            (multiparam_q(lam_vec, a), coef)
+            (built(lam_vec), coef)
             for lam_vec in itertools.product(*(range(1, k + 1) for k in kvec))
             if (coef := math.prod(coeff_rows[l_i][k_i] for l_i, k_i in zip(lam_vec, kvec)))
         )

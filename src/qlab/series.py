@@ -13,7 +13,8 @@ values; all arithmetic stays exact.
 
 The shifted-power transitions expand ordinary powers u^n (and 1/u^n) in
 the basis of products (u-a_1)(u-a_2)...(u-a_k) (and their reciprocals)
-built from a parameter sequence a with a_0 = 0, and back.
+built from a parameter sequence a with a_0 = 0, and back.  Every e_k is
+read off one integer product (_shifted_product), every h_k off one table.
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ _ZERO = Fraction(0)
 def _entries(values: Sequence, k: int, one=None) -> tuple[list, Poly | Fraction]:
     """The entries of a sequence, ints read as Fractions, and one, by
     default the one of their ring: Poly.one of the first Poly entry's
-    family, else 1."""
+    family, else 1.  A float entry raises TypeError."""
     if k < 0:
         raise ValueError("series order must be nonnegative")
     vals = [Fraction(v) if isinstance(v, int) else v for v in values]
+    if any(isinstance(v, float) for v in vals):
+        raise TypeError("series entries must be exact: ints, Fractions or Poly values, not floats")
     if one is None:
         one = next((Poly.one(v.family) for v in vals if isinstance(v, Poly)), _ONE)
     return vals, one
@@ -189,38 +192,41 @@ def schur_q_x_list(k: int) -> list:
     return out
 
 
-def elem_syms(vals: Iterable[Scalar], k: int) -> list[Fraction]:
-    """Elementary symmetric polynomials e_0..e_k of a finite value list,
-    from one pass; e_i is zero for i past the list's length."""
-    e = [_ONE] + [_ZERO] * k
-    for j, v in enumerate(map(Fraction, vals), start=1):
-        for i in range(min(k, j), 0, -1):
-            e[i] += v * e[i - 1]
-    return e
+def _shifted_product(prefix: Iterable[Scalar]) -> tuple[int, list[int]]:
+    """(den, nums): the coefficients of u^0..u^n in (u-a_1)...(u-a_n) as int
+    numerators over one positive denominator, in lowest terms.  Each
+    a_i = p/q is multiplied in as the factor (q u - p)/q."""
+    den, nums = 1, [1]
+    for p, q in (v.as_integer_ratio() for v in prefix):
+        nums = [q * hi - p * lo for lo, hi in zip(nums + [0], [0] + nums)]
+        den *= q
+    g = math.gcd(den, *nums)
+    return den // g, [c // g for c in nums]
 
 
 def elem_sym(k: int, vals: Iterable[Scalar]) -> Fraction:
-    """Elementary symmetric polynomial e_k of a finite value list."""
-    vs = list(vals)
+    """Elementary symmetric polynomial e_k of a finite value list, read as
+    (-1)^k times the coefficient of u^(n-k) in (u-v_1)...(u-v_n)."""
+    vs = tuple(vals)
     if not 0 <= k <= len(vs):
         return _ZERO
-    return elem_syms(vs, k)[k]
+    den, nums = _shifted_product(vs)
+    return Fraction((-1) ** k * nums[len(vs) - k], den)
+
+
+def _complete_syms(vals: Iterable[Scalar], k: int) -> list[Fraction]:
+    """Complete homogeneous symmetric polynomials h_0..h_k of a finite value
+    list, from one pass; k must be nonnegative."""
+    h = [_ONE] + [_ZERO] * k
+    for v in map(Fraction, vals):
+        for i in range(1, k + 1):
+            h[i] += v * h[i - 1]
+    return h
 
 
 def complete_sym(k: int, vals: Iterable[Scalar]) -> Fraction:
     """Complete homogeneous symmetric polynomial h_k of a finite value list."""
-    if k < 0:
-        return _ZERO
-    if k == 0:
-        return _ONE
-    vs = [Fraction(v) for v in vals]
-    if not vs:
-        return _ZERO
-    h = [_ONE] + [_ZERO] * k
-    for v in vs:
-        for i in range(1, k + 1):
-            h[i] += v * h[i - 1]
-    return h[k]
+    return _complete_syms(vals, k)[k] if k >= 0 else _ZERO
 
 
 class ParamSeq:
@@ -322,29 +328,31 @@ def shifted_transition(n: int, direction: str, a: ParamSeq,
 
     The first two identities are finite (length n+1, cutoff ignored); the
     last two are infinite expansions truncated at index cutoff, which must
-    be at least n.
+    be at least n.  On a = (0, 1, 2):
+
+    >>> a = ParamSeq.factorial(2)
+    >>> shifted_transition(2, "power_to_shifted", a)  # u^2 = 1 + 3(u-1) + (u-1)(u-2)
+    [Fraction(1, 1), Fraction(3, 1), Fraction(1, 1)]
+    >>> shifted_transition(2, "shifted_to_power", a)  # (u-1)(u-2) = 2 - 3u + u^2
+    [Fraction(2, 1), Fraction(-3, 1), Fraction(1, 1)]
+    >>> shifted_transition(2, "inv_shifted_to_power", a, cutoff=3)
+    [Fraction(0, 1), Fraction(0, 1), Fraction(1, 1), Fraction(3, 1)]
+    >>> shifted_transition(2, "inv_power_to_shifted", a, cutoff=3)
+    [Fraction(0, 1), Fraction(0, 1), Fraction(1, 1), Fraction(-3, 1)]
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if direction == "shifted_to_power":
-        av = a.prefix(n)
-        return [
-            elem_sym(n - k, av) * (1 if (n - k) % 2 == 0 else -1)
-            for k in range(n + 1)
-        ]
+        den, nums = _shifted_product(a.prefix(n))
+        return [Fraction(c, den) for c in nums]
     if direction == "power_to_shifted":
-        out = [complete_sym(n - k, a.prefix(k + 1)) for k in range(n)]
-        out.append(_ONE)
-        return out
+        return [complete_sym(n - k, a.prefix(k + 1)) for k in range(n)] + [_ONE]
     if direction not in INFINITE_DIRECTIONS:
         raise ValueError(f"unknown transition direction {direction!r}")
     if cutoff is None or cutoff < n:
         raise ValueError("cutoff must be provided and at least n for the infinite expansions")
     if direction == "inv_shifted_to_power":
-        av = a.prefix(n)
-        return [_ZERO] * n + [complete_sym(k - n, av) for k in range(n, cutoff + 1)]
-    out = [_ZERO] * (cutoff + 1)
-    for k in range(n, cutoff + 1):
-        ev = elem_sym(k - n, a.prefix(k - 1) if k >= 1 else ())
-        out[k] = ev * (1 if (k - n) % 2 == 0 else -1)
-    return out
+        return [_ZERO] * n + _complete_syms(a.prefix(n), cutoff - n)
+    return [_ZERO] * n + [
+        elem_sym(k - n, a.prefix(max(k - 1, 0))) * (-1) ** (k - n) for k in range(n, cutoff + 1)
+    ]

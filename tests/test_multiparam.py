@@ -19,6 +19,7 @@ from qlab import (
     schur_q_row,
     strict_partitions,
 )
+from qlab import multiparam
 from qlab.multiparam import _slot_coeffs
 
 from conftest import RANDOM_A
@@ -120,6 +121,19 @@ def test_slot_coeffs_match_shifted_product():
             assert den == math.lcm(*(c.denominator for c in poly))
 
 
+def test_multiparam_builds_no_cancelled_q(monkeypatch):
+    """A strict lambda whose signed slot sum cancels is never built: on a
+    vector with a repeated entry every sum cancels, so no Q is read."""
+    built = []
+    monkeypatch.setattr(multiparam, "q_lambda", lambda lam: built.append(lam) or q_lambda(lam))
+    for a in (ParamSeq.factorial(4), RANDOM_A):
+        for alpha in [(2, 2), (1, 3, 3), (3, 1, 3)]:
+            assert multiparam_q(alpha, a).is_zero()
+    assert built == []
+    assert multiparam_q((3, 1), RANDOM_A) == multiparam_q_via_fermions((3, 1), RANDOM_A)
+    assert built
+
+
 def test_multiparam_is_tau_function():
     a = RANDOM_A
     for alpha in [(2, 1), (3, 1), (4, 2)]:
@@ -151,6 +165,20 @@ def test_expansion_check_l1_factorial():
 def test_expansion_check_l2_random():
     a = ParamSeq.parse("0,1/2,-1,3,2/3,-1/4")
     assert check_multiparam_expansion(2, a, 5)
+
+
+def test_expansion_check_builds_each_vector_once(monkeypatch):
+    """Each multiparameter function of the check is built once, not once
+    for every k vector it appears under (441 builds for these 36)."""
+    calls = []
+
+    def counted(alpha, a):
+        calls.append(alpha)
+        return multiparam_q(alpha, a)
+
+    monkeypatch.setattr(multiparam, "multiparam_q", counted)
+    assert check_multiparam_expansion(2, ParamSeq.factorial(6), 6)
+    assert sorted(calls) == sorted(itertools.product(range(1, 7), repeat=2))
 
 
 def test_expansion_check_errors():

@@ -6,6 +6,7 @@ run checks the same examples.
 
 import copy
 import functools
+import itertools
 import json
 import math
 import operator
@@ -22,6 +23,8 @@ from qlab import (
     Poly,
     Tensor,
     apply_phi,
+    complete_sym,
+    elem_sym,
     graded_monomials,
     hirota_apply,
     hirota_apply_taylor,
@@ -32,7 +35,7 @@ from qlab import (
     tensor_map,
     tensor_of,
 )
-from qlab import monomial, ring
+from qlab import monomial, ring, series
 from qlab.monomial import FAMILY_LETTERS, MAX_EXPONENT, mono_degree, mono_sort_key, mono_text, mono_weight
 from qlab.ring import accumulate
 
@@ -333,6 +336,30 @@ def test_rename_and_linear_division_invert(f, pq):
 def test_phi_anticommutation(f, m, n):
     lhs = apply_phi(m, apply_phi(n, f)) + apply_phi(n, apply_phi(m, f))
     assert lhs == (f * (2 if m % 2 == 0 else -2) if m + n == 0 else Poly.zero())
+
+
+# The two symmetric-polynomial kernels against brute-force sums.
+
+sym_values = st.lists(st.one_of(st.integers(-3, 3), coefs), max_size=6)
+
+
+@deterministic
+@given(sym_values, st.integers(-1, 8))
+def test_symmetric_polynomials_match_brute_force(vals, k):
+    def brute(picks):
+        return sum(map(math.prod, picks(vals, k)), Fraction(0)) if k >= 0 else 0
+
+    assert elem_sym(k, vals) == brute(itertools.combinations)
+    assert complete_sym(k, vals) == brute(itertools.combinations_with_replacement)
+
+
+@deterministic
+@given(sym_values)
+def test_shifted_product_is_monic_in_lowest_terms(vals):
+    den, nums = series._shifted_product(vals)
+    assert den > 0 and math.gcd(den, *nums) == 1
+    assert len(nums) == len(vals) + 1 and nums[-1] == den
+    assert series._shifted_product(()) == (1, [1])
 
 
 @deterministic

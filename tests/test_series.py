@@ -42,6 +42,19 @@ def test_exp_series_missing_entries_read_as_zero():
     assert exp_series([F(1)], 3) == exp_series([F(1), F(0), F(0)], 3)
 
 
+def test_series_reject_float_entries():
+    """No exp/log route computes in floating point: a float entry raises."""
+    for route, seq in [
+        (exp_series, [F(1, 2), 0.5]),
+        (exp_series_det, [0.5]),
+        (log_series, [1, 0.5]),
+        (log_series_by_inversion, [1, 0.5]),
+        (log_series_by_inversion, [1.0, F(1, 2)]),
+    ]:
+        with pytest.raises(TypeError, match="float"):
+            route(seq, 3)
+
+
 def test_log_series_examples():
     s1 = F(9, 4)
     assert log_series([F(1), s1], 1) == [s1]
