@@ -122,7 +122,7 @@ def _q_lambda(vec: tuple[int, ...]) -> Poly:
 def _omega_triples(phi_f, phi_g, lo: int, hi: int, c=1):
     """The nonzero terms (phi_n f, phi_{-n} g, (-1)^n c) of
     c * sum_n (-1)^n phi_n f (x) phi_{-n} g over lo <= n <= hi, where
-    phi_f[m] and phi_g[m] read the images phi_m f and phi_m g.
+    phi_f(m) and phi_g(m) return the images phi_m f and phi_m g.
 
     Of the two factors, the one whose index is not positive is read
     first: phi_m h with m <= 0 keeps only the terms Q_{m+k} g_k(h) with
@@ -131,25 +131,21 @@ def _omega_triples(phi_f, phi_g, lo: int, hi: int, c=1):
     The other, creation factor is read only when the first is nonzero;
     a term with a zero factor is zero, so skipping it is exact.
 
-    This is the one Omega loop; its callers differ only in the maps they
-    hand in, each a LazyMap that forms an image at most once.
-    apply_omega reads the cached per-monomial images of each monomial
-    pair, is_bkp_tau_bilinear one map of whole-tau images for both sides.
+    This is the one Omega loop; its callers differ only in the functions
+    they hand in, and the loop reads each index of each at most once.
+    apply_omega hands in the cached per-monomial images of each monomial
+    pair, is_bkp_tau_bilinear the lookup of one LazyMap of whole-tau
+    images for both sides, which is where images are reused.
     """
     for n in range(lo, hi + 1):
         if n > 0:
-            right = phi_g[-n]
-            left = right and phi_f[n]
+            right = phi_g(-n)
+            left = right and phi_f(n)
         else:
-            left = phi_f[n]
-            right = left and phi_g[-n]
+            left = phi_f(n)
+            right = left and phi_g(-n)
         if left and right:
             yield left, right, c if n % 2 == 0 else -c
-
-
-def _mono_images(key: int) -> LazyMap:
-    """The images phi_m of one monomial, read from the _phi_mono cache."""
-    return LazyMap(lambda _, m: _phi_mono(m, key))
 
 
 def apply_omega(t: Tensor, widen: int = 0) -> Tensor:
@@ -172,7 +168,7 @@ def apply_omega(t: Tensor, widen: int = 0) -> Tensor:
         triple
         for kl, kr, c in t._key_terms()
         for triple in _omega_triples(
-            _mono_images(kl), _mono_images(kr),
+            lambda m: _phi_mono(m, kl), lambda m: _phi_mono(m, kr),
             -_key_weight(kl) - widen, _key_weight(kr) + widen, c,
         )
     )
@@ -194,7 +190,7 @@ def is_bkp_tau_bilinear(f: Poly) -> tuple[bool, Tensor]:
     sum.
     """
     gs = exp_derivation_coeffs(f)
-    phi = LazyMap(lambda _, m: _phi_from(m, gs))
+    phi = LazyMap(lambda _, m: _phi_from(m, gs)).__getitem__
     w = f.weight()
     acc = Tensor.lincomb(itertools.chain(_omega_triples(phi, phi, -w, w), [(f, f, -1)]))
     return (acc.is_zero(), acc)

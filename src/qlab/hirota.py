@@ -45,6 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import types
 from fractions import Fraction
 from functools import cache
 
@@ -242,32 +243,19 @@ def equation_listing(max_weight: int) -> list[str]:
     return [f"{mono_text(mono, 'y')} : {p.text()}" for mono, p in _equations(max_weight)]
 
 
-class HierarchyReport:
+class HierarchyReport(types.SimpleNamespace):
     """Outcome of checking one tau function against the hierarchy.
 
-    Equal reports have equal fields, and the repr lists the fields as
-    keywords.  Reports compare by value, so they are unhashable."""
+    A SimpleNamespace of the fields max_weight, checked, trivial and
+    failures: equal fields make equal reports, the repr lists the fields
+    as keywords, and reports compare by value, so they are unhashable."""
 
     def __init__(self, max_weight: int, checked: int,
                  trivial: list[str] | None = None,
                  failures: dict[str, Poly] | None = None):
-        self.max_weight = max_weight
-        self.checked = checked
-        self.trivial = [] if trivial is None else trivial
-        self.failures = {} if failures is None else failures
-
-    def _fields(self) -> tuple:
-        return (self.max_weight, self.checked, self.trivial, self.failures)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__qualname__}(max_weight={self.max_weight!r}, "
-                f"checked={self.checked!r}, trivial={self.trivial!r}, "
-                f"failures={self.failures!r})")
+        super().__init__(max_weight=max_weight, checked=checked,
+                         trivial=[] if trivial is None else trivial,
+                         failures={} if failures is None else failures)
 
     @property
     def passed(self) -> bool:

@@ -8,8 +8,9 @@ contributes a factor ranging over lambda_i = 1..alpha_i with coefficient
 At a = 0 only lambda = alpha survives and the classical function returns.
 
 The slot coefficients of entry m are those of u (u-a_1)...(u-a_{m-1}),
-int numerators over one denominator read off series._shifted_product, so
-the expansion adds and multiplies ints and divides once at the end.
+int numerators over one denominator read off the shifted basis that the
+ParamSeq formed when it was made, so the expansion adds and multiplies
+ints and divides once at the end.
 Each vector of the product is straightened to a strict partition before
 its classical function is read: phi_r phi_s = -phi_s phi_r for r + s != 0
 and phi_r^2 = 0 for r != 0, so a positive vector is the signed Q of its
@@ -38,8 +39,8 @@ import math
 import operator
 
 from .fermion import apply_phi, q_lambda
-from .ring import Poly, _bounded_cache, accumulate
-from .series import ParamSeq, _shifted_product, shifted_transition
+from .ring import Poly, accumulate
+from .series import ParamSeq, shifted_transition
 
 
 def _positive(alpha: tuple[int, ...]) -> tuple[int, ...]:
@@ -67,18 +68,14 @@ def _straighten(vec: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 
 
 def _slot_coeffs(part: int, a: ParamSeq) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """The slot of one entry in integer form, (den, lambdas, numerators).
-    a.prefix raises when a is too short."""
-    return _prefix_slot_coeffs(a.prefix(part - 1))
-
-
-@_bounded_cache(256)
-def _prefix_slot_coeffs(prefix: tuple) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """(den, lambdas, numerators) of entry len(prefix) + 1: each lambda with a
-    nonzero coefficient of u^lambda in u (u-a_1)...(u-a_len(prefix)), in
-    increasing order, and those coefficients as int numerators over den."""
-    den, nums = _shifted_product(prefix)
-    return den, tuple(lam for lam, c in enumerate(nums, start=1) if c), tuple(filter(None, nums))
+    """The slot of one entry in integer form, (den, lambdas, numerators):
+    each lambda with a nonzero coefficient of u^lambda in
+    u (u-a_1)...(u-a_(part-1)), in increasing order, and those coefficients
+    as int numerators over den, read off row part - 1 of the basis that
+    a carries.  a.prefix raises when a is too short."""
+    a.prefix(part - 1)
+    den, nums = a._shifted[part - 1]
+    return den, tuple(itertools.compress(itertools.count(1), nums)), tuple(filter(None, nums))
 
 
 def multiparam_q(alpha: tuple[int, ...], a: ParamSeq) -> Poly:

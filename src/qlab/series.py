@@ -13,8 +13,9 @@ values; all arithmetic stays exact.
 
 The shifted-power transitions expand ordinary powers u^n (and 1/u^n) in
 the basis of products (u-a_1)(u-a_2)...(u-a_k) (and their reciprocals)
-built from a parameter sequence a with a_0 = 0, and back.  Every e_k is
-read off one integer product (_shifted_product), every h_k off one table.
+built from a parameter sequence a with a_0 = 0, and back.  The e-side
+reads the products (u-a_1)...(u-a_k), multiplied out once in integers
+when the ParamSeq is made; every h_k comes from one table (_complete_syms).
 """
 
 from __future__ import annotations
@@ -192,16 +193,18 @@ def schur_q_x_list(k: int) -> list:
     return out
 
 
-def _shifted_product(prefix: Iterable[Scalar]) -> tuple[int, list[int]]:
-    """(den, nums): the coefficients of u^0..u^n in (u-a_1)...(u-a_n) as int
-    numerators over one positive denominator, in lowest terms.  Each
-    a_i = p/q is multiplied in as the factor (q u - p)/q."""
-    den, nums = 1, [1]
-    for p, q in (v.as_integer_ratio() for v in prefix):
-        nums = [q * hi - p * lo for lo, hi in zip(nums + [0], [0] + nums)]
-        den *= q
-    g = math.gcd(den, *nums)
-    return den // g, [c // g for c in nums]
+def _shifted_products(values: Iterable[Scalar]) -> list[tuple[int, tuple[int, ...]]]:
+    """(den, nums) for k = 0..n: the coefficients of u^0..u^k in
+    (u-a_1)...(u-a_k) as int numerators over one positive denominator, from
+    one running product over values = (a_1..a_n).  Each a_i = p/q in lowest
+    terms is multiplied in as the factor (q u - p)/q.  Every such factor
+    has coprime integer coefficients, so by Gauss's lemma so does each
+    product, and each row is in lowest terms without a gcd."""
+    rows = [(1, (1,))]
+    for p, q in (v.as_integer_ratio() for v in values):
+        den, nums = rows[-1]
+        rows.append((den * q, tuple(q * hi - p * lo for lo, hi in zip(nums + (0,), (0,) + nums))))
+    return rows
 
 
 def elem_sym(k: int, vals: Iterable[Scalar]) -> Fraction:
@@ -210,7 +213,7 @@ def elem_sym(k: int, vals: Iterable[Scalar]) -> Fraction:
     vs = tuple(vals)
     if not 0 <= k <= len(vs):
         return _ZERO
-    den, nums = _shifted_product(vs)
+    den, nums = _shifted_products(vs)[-1]
     return Fraction((-1) ** k * nums[len(vs) - k], den)
 
 
@@ -236,9 +239,13 @@ class ParamSeq:
     rather than an implicit zero extension, so that zero parameters are
     never confused with missing ones.  Named infinite families are
     produced to an explicit length by the classmethods.
+
+    The sequence carries its shifted basis: _shifted[k] is (den, nums) of
+    (u-a_1)...(u-a_k) for k = 0..max_index, formed once by
+    _shifted_products; its readers check the length with prefix first.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "_shifted")
 
     def __init__(self, values: Iterable[Scalar]):
         vals = tuple(Fraction(v) for v in values)
@@ -247,6 +254,7 @@ class ParamSeq:
         if vals[0] != 0:
             raise ValueError("parameter sequence must have a_0 = 0")
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_shifted", tuple(_shifted_products(vals[1:])))
 
     __setattr__ = __delattr__ = _frozen
 
@@ -292,9 +300,10 @@ class ParamSeq:
         if any(not t for t in parts):
             raise ValueError(f"malformed parameter sequence: {text!r}")
         try:
-            return cls(map(_parse_rational, parts))
+            vals = [_parse_rational(t) for t in parts]
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed parameter sequence: {text!r}") from exc
+        return cls(vals)
 
     def __eq__(self, other):
         if not isinstance(other, ParamSeq):
@@ -343,7 +352,8 @@ def shifted_transition(n: int, direction: str, a: ParamSeq,
     if n < 0:
         raise ValueError("n must be nonnegative")
     if direction == "shifted_to_power":
-        den, nums = _shifted_product(a.prefix(n))
+        a.prefix(n)
+        den, nums = a._shifted[n]
         return [Fraction(c, den) for c in nums]
     if direction == "power_to_shifted":
         return [complete_sym(n - k, a.prefix(k + 1)) for k in range(n)] + [_ONE]
@@ -353,6 +363,8 @@ def shifted_transition(n: int, direction: str, a: ParamSeq,
         raise ValueError("cutoff must be provided and at least n for the infinite expansions")
     if direction == "inv_shifted_to_power":
         return [_ZERO] * n + _complete_syms(a.prefix(n), cutoff - n)
-    return [_ZERO] * n + [
-        elem_sym(k - n, a.prefix(max(k - 1, 0))) * (-1) ** (k - n) for k in range(n, cutoff + 1)
-    ]
+    # (-1)^(k-n) e_(k-n)(a_1..a_(k-1)) is the u^(n-1) coefficient of row k - 1.
+    a.prefix(max(cutoff - 1, 0))
+    if n == 0:
+        return [_ONE] + [_ZERO] * cutoff
+    return [_ZERO] * n + [Fraction(nums[n - 1], den) for den, nums in a._shifted[n - 1:cutoff]]

@@ -235,6 +235,12 @@ def test_malformed_inputs_exit_2(capsys):
     assert run_cli(capsys)[0] == 2
 
 
+def test_params_without_a0_report_the_rule(capsys):
+    code, out, err = run_cli(capsys, "qa", "3,1", "--params", "1,2,3")
+    assert code == 2 and out == ""
+    assert err == "error: parameter sequence must have a_0 = 0\n"
+
+
 def test_weight_cap_env(monkeypatch, capsys):
     monkeypatch.setenv("QLAB_MAX_WEIGHT", "4")
     code, _, err = run_cli(capsys, "hierarchy", "--max-weight", "8")

@@ -34,7 +34,6 @@ def test_cache_registry_names_every_cache():
         ("qlab.fermion._q_lambda", 2048),
         ("qlab.hirota._weight_monomials", 128),
         ("qlab.hirota._weight_slice", 128),
-        ("qlab.multiparam._prefix_slot_coeffs", 256),
         ("qlab.ring._canonical", 16384),
         ("qlab.series.schur_q_row", 256),
     ]

@@ -356,10 +356,40 @@ def test_symmetric_polynomials_match_brute_force(vals, k):
 @deterministic
 @given(sym_values)
 def test_shifted_product_is_monic_in_lowest_terms(vals):
-    den, nums = series._shifted_product(vals)
-    assert den > 0 and math.gcd(den, *nums) == 1
-    assert len(nums) == len(vals) + 1 and nums[-1] == den
-    assert series._shifted_product(()) == (1, [1])
+    rows = series._shifted_products(vals)
+    assert len(rows) == len(vals) + 1
+    for k, (den, nums) in enumerate(rows):
+        assert den > 0 and math.gcd(den, *nums) == 1
+        assert len(nums) == k + 1 and nums[-1] == den
+    assert series._shifted_products(()) == [(1, (1,))]
+
+
+param_seqs = st.one_of(
+    st.integers(0, 8).map(ParamSeq.zeros),
+    st.integers(0, 8).map(ParamSeq.factorial),
+    st.lists(coefs, max_size=8).map(lambda vals: ParamSeq([0, *vals])),
+)
+
+
+@deterministic
+@given(param_seqs)
+def test_param_seq_carries_its_shifted_basis(a):
+    """Row k of the table a sequence carries is (u - a_1)...(u - a_k),
+    expanded here by plain Fraction list multiplication and reduced to int
+    numerators over the least common denominator; copies and unpickled
+    values rebuild the same table."""
+    assert len(a._shifted) == a.max_index + 1
+    poly = [Fraction(1)]  # lowest degree first
+    for k in range(a.max_index + 1):
+        if k:
+            shifted = [Fraction(0)] + poly
+            for i, c in enumerate(poly):
+                shifted[i] -= a.get(k) * c
+            poly = shifted
+        den = math.lcm(*(c.denominator for c in poly))
+        assert a._shifted[k] == (den, tuple(int(c * den) for c in poly))
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert twin == a and twin._shifted == a._shifted
 
 
 @deterministic

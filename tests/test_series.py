@@ -183,6 +183,12 @@ def test_param_seq_families_and_parse():
         ParamSeq.parse("")
 
 
+def test_param_seq_parse_reports_the_a0_rule():
+    """Well-formed text with a_0 != 0 names the a_0 rule, not malformed text."""
+    with pytest.raises(ValueError, match=r"^parameter sequence must have a_0 = 0$"):
+        ParamSeq.parse("1,2,3")
+
+
 def test_param_seq_is_immutable():
     a = ParamSeq.parse("0,1")
     table = {a: 1}
