@@ -40,9 +40,9 @@ cached.  A record is an immutable tuple, so no caller can change the
 cache through an output.
 
 Code outside this module reads the integer form only through the private
-methods of Poly (_make, _linear_image, _substituted, _rescaled,
+methods of Poly (_lincomb, _linear_image, _substituted, _rescaled,
 _filtered, _renamings, _div_linear, _canonical_texts) and Tensor
-(_key_terms).
+(_key_terms, _text_pieces).
 The maps handed to _linear_image receive packed keys: the per-monomial
 phi_m cache keys on them as they are, and the D^gamma map of the Hirota
 evaluator and _substituted, the one substitution routine (the oracle's

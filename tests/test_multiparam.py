@@ -87,7 +87,8 @@ def test_multiparam_operator_route_agrees():
         for perm in itertools.permutations(alpha)
         if perm != alpha
     ]
-    repeated = [(1, 1), (2, 2), (3, 1, 3), (2, 4, 4), (1, 2, 1), (5, 5), (2, 1, 2, 1)]
+    repeated = [(1, 1), (2, 2), (3, 1, 3), (2, 4, 4), (1, 2, 1), (5, 5), (2, 1, 2, 1),
+                (3, 1, 2, 1, 3), (1, 3, 2, 3)]
     for a in (ParamSeq.factorial(9), RANDOM_A):
         for alpha in strict + unsorted + repeated:
             if max(alpha) - 1 > a.max_index:
@@ -96,8 +97,9 @@ def test_multiparam_operator_route_agrees():
 
 
 def test_slot_coeffs_match_shifted_product():
-    """The integer slot form of entry m against its definition: Fraction(n,
-    den) is the coefficient of u^lambda in u (u - a_1) ... (u - a_(m-1)),
+    """The integer slot form of entry m against its definition: each
+    (lambda, n) pair, in increasing lambda, has Fraction(n, den) equal to
+    the nonzero coefficient of u^lambda in u (u - a_1) ... (u - a_(m-1)),
     expanded here by plain Fraction list multiplication, and den is the
     least common denominator of those coefficients."""
     families = [
@@ -113,9 +115,10 @@ def test_slot_coeffs_match_shifted_product():
                 for i, c in enumerate(poly):
                     shifted[i] -= a.get(j) * c
                 poly = shifted
-            den, lams, nums = _slot_coeffs(m, a)
-            assert all(isinstance(n, int) and n for n in nums)
-            assert {lam: F(n, den) for lam, n in zip(lams, nums)} == {
+            den, slot = _slot_coeffs(m, a)
+            assert all(isinstance(n, int) and n for _, n in slot)
+            assert slot == sorted(slot)
+            assert {lam: F(n, den) for lam, n in slot} == {
                 lam: c for lam, c in enumerate(poly) if c
             }
             assert den == math.lcm(*(c.denominator for c in poly))
@@ -123,12 +126,15 @@ def test_slot_coeffs_match_shifted_product():
 
 def test_multiparam_builds_no_cancelled_q(monkeypatch):
     """A strict lambda whose signed slot sum cancels is never built: on a
-    vector with a repeated entry every sum cancels, so no Q is read."""
+    vector with a repeated entry every sum cancels, so no Q is read.  The
+    fold empties as soon as an entry repeats, so 21 threes (3^21 index
+    vectors of the slot product) cost a few steps."""
     built = []
     monkeypatch.setattr(multiparam, "q_lambda", lambda lam: built.append(lam) or q_lambda(lam))
     for a in (ParamSeq.factorial(4), RANDOM_A):
         for alpha in [(2, 2), (1, 3, 3), (3, 1, 3)]:
             assert multiparam_q(alpha, a).is_zero()
+    assert multiparam_q((3,) * 21, ParamSeq.factorial(3)).is_zero()
     assert built == []
     assert multiparam_q((3, 1), RANDOM_A) == multiparam_q_via_fermions((3, 1), RANDOM_A)
     assert built
