@@ -119,6 +119,12 @@ def _q_lambda(vec: tuple[int, ...]) -> Poly:
     return apply_phi(vec[0], _q_lambda(vec[1:])) if vec else Poly.one()
 
 
+def _q_sum(coeffs: dict[tuple[int, ...], int], den: int) -> Poly:
+    """sum c_lambda Q_lambda / den, built in ascending lambda: _phi_mono holds
+    512 images, and on the weight-33 qa builds the map's order evicts 3x as many."""
+    return Poly._lincomb(((q_lambda(lam), c) for lam, c in sorted(coeffs.items())), "p", den)
+
+
 def _omega_triples(phi_f, phi_g, lo: int, hi: int, c=1):
     """The nonzero terms (phi_n f, phi_{-n} g, (-1)^n c) of
     c * sum_n (-1)^n phi_n f (x) phi_{-n} g over lo <= n <= hi, where

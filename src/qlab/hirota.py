@@ -217,11 +217,13 @@ def _weight_monomials(w: int) -> tuple[Mono, ...]:
 
 
 def bkp_generate(max_weight: int, canonical: bool = True) -> dict[Mono, Poly]:
-    """The hierarchy equations up to a weight bound, as a map from each
-    y-monomial to its Hirota polynomial coefficient.  With canonical=True a
-    coefficient is its even-degree part, the part that can act on f.f,
-    which is zero (trivially satisfied) at odd y-weight; canonical=False
-    gives the raw coefficients."""
+    """The hierarchy equations up to a weight bound, as a map from
+    y-monomial to Hirota polynomial coefficient.  Its keys, those of the raw
+    hierarchy, are every odd-weight y-monomial and the even-weight ones with
+    a nonzero equation: bkp_generate(6) has 10 keys and lacks y1^2, y1^4 and
+    y1*y3, which equation_listing(6) prints as 0.  With canonical=True a
+    coefficient is its even-degree part, the part that can act on f.f, zero
+    (trivially satisfied) at odd y-weight; canonical=False gives the raw ones."""
     if max_weight < 2:
         raise ValueError("max_weight must be at least 2")
     eqs, zero = {}, Poly.zero("D")

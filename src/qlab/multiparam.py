@@ -41,7 +41,7 @@ import itertools
 import math
 import operator
 
-from .fermion import apply_phi, q_lambda
+from .fermion import _q_sum, apply_phi, q_lambda
 from .ring import Poly, accumulate
 from .series import ParamSeq, shifted_transition
 
@@ -99,10 +99,7 @@ def multiparam_q(alpha: tuple[int, ...], a: ParamSeq) -> Poly:
             for s, n in slot
             if s not in mu
         ))
-    # Ascending lambda: _phi_mono holds 512 images, and on the weight-33
-    # builds the fold's own order evicts about three times as many.
-    return Poly._lincomb(((q_lambda(lam), c) for lam, c in sorted(sums.items())), "p",
-                         math.prod(den for den, _ in slots))
+    return _q_sum(sums, math.prod(den for den, _ in slots))
 
 
 def multiparam_q_via_fermions(alpha: tuple[int, ...], a: ParamSeq) -> Poly:

@@ -50,7 +50,7 @@ import operator
 from fractions import Fraction
 from functools import cache
 
-from .ring import Poly, Scalar
+from .ring import Poly, Scalar, _fr
 from .series import ParamSeq, schur_q_row
 
 MAX_VARS = 8
@@ -141,7 +141,7 @@ def _evaluate(shifts: list[tuple[Fraction, ...]], xs: list[Scalar]) -> Fraction:
     formula over d^deg.  Where coordinates coincide, the value is
     interpolated along x + e*(1, ..., N) (see the module docstring).
     """
-    xs = [Fraction(x) for x in xs]
+    xs = list(map(_fr, xs))
     d = math.lcm(*(v.denominator for v in itertools.chain(xs, *shifts)))
     points = _times(d, xs)
     rows = [_times(d, slot) for slot in shifts]
@@ -276,7 +276,7 @@ def eval_powersums(f: Poly, xs: list[Scalar]) -> Fraction:
     """Evaluate a power-sum polynomial at the point p_n = sum_i xs[i]^n."""
     if f.family != "p":
         raise ValueError("expected a power-sum polynomial")
-    vals = [Fraction(x) for x in xs]
+    vals = list(map(_fr, xs))
     d = math.lcm(*(x.denominator for x in vals))
     scaled = _times(d, vals)
     return f.evaluate({n: Fraction(sum(x ** n for x in scaled), d ** n)

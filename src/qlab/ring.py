@@ -93,6 +93,9 @@ from .monomial import (
 Scalar = int | Fraction
 
 def _fr(value: Scalar) -> Fraction:
+    """The one conversion of a caller's number: an int or a Fraction, else TypeError."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"expected an int or a Fraction, not {type(value).__name__}")
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
@@ -173,14 +176,15 @@ def _combine(parts: Iterable[tuple["_IntegerForm | _Outer", Scalar]]) -> tuple[d
     lcm of the values' denominators, not yet reduced.
 
     A value has its denominator in _den, and _add_to(out, s) adds its
-    numerators times a nonzero int s into out.  A part with c = 0 is
-    skipped unread.  When a part brings a new denominator, the numerators
-    summed so far are widened to the lcm in place, so the parts are
-    consumed lazily.
+    numerators times a nonzero int s into out.  A c that is not an int
+    goes through _fr, and a part with c = 0 is skipped unread.  When a part
+    brings a new denominator, the numerators summed so far are widened to
+    the lcm in place, so the parts are consumed lazily.
     """
     out: dict = {}
     den = 1
     for value, c in parts:
+        c = c if isinstance(c, int) else _fr(c)
         if not c:
             continue
         d = value._den * c.denominator

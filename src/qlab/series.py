@@ -24,24 +24,22 @@ import math
 from fractions import Fraction
 from collections.abc import Iterable, Sequence
 
-from .ring import Poly, Scalar, _bounded_cache, _frozen, _parse_rational
+from .ring import Poly, Scalar, _bounded_cache, _fr, _frozen, _parse_rational
 
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
 
 
 def _entries(values: Sequence, k: int, one=None) -> tuple[list, Poly | Fraction]:
-    """The entries of a sequence, ints read as Fractions, and one, by
-    default the one of their ring: Poly.one of the first Poly entry's
-    family, else 1.  A float entry raises TypeError."""
+    """The entries of a sequence and one, by default the one of their ring:
+    Poly.one of the first Poly entry's family, else 1.  Each of them that
+    is not a Poly goes through _fr."""
     if k < 0:
         raise ValueError("series order must be nonnegative")
-    vals = [Fraction(v) if isinstance(v, int) else v for v in values]
-    if any(isinstance(v, float) for v in vals):
-        raise TypeError("series entries must be exact: ints, Fractions or Poly values, not floats")
+    vals = [v if isinstance(v, Poly) else _fr(v) for v in values]
     if one is None:
         one = next((Poly.one(v.family) for v in vals if isinstance(v, Poly)), _ONE)
-    return vals, one
+    return vals, one if isinstance(one, Poly) else _fr(one)
 
 
 def _s_sequence(ss: Sequence, k: int) -> tuple[list, Poly | Fraction]:
@@ -196,12 +194,12 @@ def schur_q_x_list(k: int) -> list:
 def _shifted_products(values: Iterable[Scalar]) -> list[tuple[int, tuple[int, ...]]]:
     """(den, nums) for k = 0..n: the coefficients of u^0..u^k in
     (u-a_1)...(u-a_k) as int numerators over one positive denominator, from
-    one running product over values = (a_1..a_n).  Each a_i = p/q in lowest
-    terms is multiplied in as the factor (q u - p)/q.  Every such factor
-    has coprime integer coefficients, so by Gauss's lemma so does each
-    product, and each row is in lowest terms without a gcd."""
+    one running product over values = (a_1..a_n), ints or Fractions.  Each
+    a_i = p/q in lowest terms is multiplied in as the factor (q u - p)/q.
+    Every such factor has coprime integer coefficients, so by Gauss's lemma
+    so does each product, and each row is in lowest terms without a gcd."""
     rows = [(1, (1,))]
-    for p, q in (v.as_integer_ratio() for v in values):
+    for p, q in ((v.numerator, v.denominator) for v in values):
         den, nums = rows[-1]
         rows.append((den * q, tuple(q * hi - p * lo for lo, hi in zip(nums + (0,), (0,) + nums))))
     return rows
@@ -210,7 +208,7 @@ def _shifted_products(values: Iterable[Scalar]) -> list[tuple[int, tuple[int, ..
 def elem_sym(k: int, vals: Iterable[Scalar]) -> Fraction:
     """Elementary symmetric polynomial e_k of a finite value list, read as
     (-1)^k times the coefficient of u^(n-k) in (u-v_1)...(u-v_n)."""
-    vs = tuple(vals)
+    vs = tuple(map(_fr, vals))
     if not 0 <= k <= len(vs):
         return _ZERO
     den, nums = _shifted_products(vs)[-1]
@@ -221,7 +219,7 @@ def _complete_syms(vals: Iterable[Scalar], k: int) -> list[Fraction]:
     """Complete homogeneous symmetric polynomials h_0..h_k of a finite value
     list, from one pass; k must be nonnegative."""
     h = [_ONE] + [_ZERO] * k
-    for v in map(Fraction, vals):
+    for v in map(_fr, vals):
         for i in range(1, k + 1):
             h[i] += v * h[i - 1]
     return h
@@ -230,6 +228,14 @@ def _complete_syms(vals: Iterable[Scalar], k: int) -> list[Fraction]:
 def complete_sym(k: int, vals: Iterable[Scalar]) -> Fraction:
     """Complete homogeneous symmetric polynomial h_k of a finite value list."""
     return _complete_syms(vals, k)[k] if k >= 0 else _ZERO
+
+
+def _parse_values(text: str) -> list[Fraction]:
+    """The rationals of a comma-separated list, each n, n/d or a decimal."""
+    try:
+        return [_parse_rational(t.strip()) for t in text.split(",")]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed parameter sequence: {text!r}") from exc
 
 
 class ParamSeq:
@@ -248,7 +254,7 @@ class ParamSeq:
     __slots__ = ("values", "_shifted")
 
     def __init__(self, values: Iterable[Scalar]):
-        vals = tuple(Fraction(v) for v in values)
+        vals = tuple(map(_fr, values))
         if not vals:
             raise ValueError("parameter sequence must provide a_0")
         if vals[0] != 0:
@@ -296,14 +302,7 @@ class ParamSeq:
 
     @classmethod
     def parse(cls, text: str) -> "ParamSeq":
-        parts = [t.strip() for t in text.split(",")]
-        if any(not t for t in parts):
-            raise ValueError(f"malformed parameter sequence: {text!r}")
-        try:
-            vals = [_parse_rational(t) for t in parts]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"malformed parameter sequence: {text!r}") from exc
-        return cls(vals)
+        return cls(_parse_values(text))
 
     def __eq__(self, other):
         if not isinstance(other, ParamSeq):

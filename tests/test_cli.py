@@ -241,6 +241,34 @@ def test_params_without_a0_report_the_rule(capsys):
     assert err == "error: parameter sequence must have a_0 = 0\n"
 
 
+def test_long_params_build_only_the_values_read(monkeypatch, capsys):
+    """qa, a qa: tau and oracle-compare --params parse and check the whole
+    list, then build their ParamSeq from a_0..a_needed only: a ParamSeq
+    multiplies out one row per value, so a 3,000-value list used to take
+    seconds for the few values a small index reads.  The output is that
+    of the short list, and a malformed entry anywhere, a nonzero a_0 or a
+    list too short still exits 2 with its message."""
+    from qlab import series
+
+    held = []
+    rows = series._shifted_products
+    monkeypatch.setattr(series, "_shifted_products",
+                        lambda values: held.append(len(values)) or rows(values))
+    long = ",".join(map(str, range(3000)))
+    assert run_cli(capsys, "qa", "1", "--params", long) == (0, "2*p1\n", "")
+    for *argv, spec in (["qa", "3,1", "--params", "{}"], ["check-bilinear", "--tau", "qa:3,1@{}"],
+                        ["oracle-compare", "--max-sum", "3", "--nvars", "2", "--points", "1",
+                         "--params", "{}"]):
+        assert run_cli(capsys, *argv, spec.format(long)) == \
+            run_cli(capsys, *argv, spec.format("0,1,2"))
+    assert max(held) == 2
+    for params, err in ((long + ",x", f"error: malformed parameter sequence: '{long},x'\n"),
+                        ("1," + long, "error: parameter sequence must have a_0 = 0\n"),
+                        ("0,1", "error: parameter sequence too short: a_1..a_2 requested, "
+                                "max index 1\n")):
+        assert run_cli(capsys, "qa", "3,1", "--params", params) == (2, "", err)
+
+
 def test_weight_cap_env(monkeypatch, capsys):
     monkeypatch.setenv("QLAB_MAX_WEIGHT", "4")
     code, _, err = run_cli(capsys, "hierarchy", "--max-weight", "8")

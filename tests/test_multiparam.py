@@ -19,7 +19,7 @@ from qlab import (
     schur_q_row,
     strict_partitions,
 )
-from qlab import multiparam
+from qlab import fermion, multiparam
 from qlab.multiparam import _slot_coeffs
 
 from conftest import RANDOM_A
@@ -130,7 +130,7 @@ def test_multiparam_builds_no_cancelled_q(monkeypatch):
     fold empties as soon as an entry repeats, so 21 threes (3^21 index
     vectors of the slot product) cost a few steps."""
     built = []
-    monkeypatch.setattr(multiparam, "q_lambda", lambda lam: built.append(lam) or q_lambda(lam))
+    monkeypatch.setattr(fermion, "q_lambda", lambda lam: built.append(lam) or q_lambda(lam))
     for a in (ParamSeq.factorial(4), RANDOM_A):
         for alpha in [(2, 2), (1, 3, 3), (3, 1, 3)]:
             assert multiparam_q(alpha, a).is_zero()

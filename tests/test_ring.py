@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,13 @@ from qlab import (
     Poly,
     Tensor,
     bkp_generate,
+    complete_sym,
+    elem_sym,
+    eval_powersums,
+    exp_series,
+    exp_series_det,
+    log_series,
+    log_series_by_inversion,
     graded_monomials,
     mono_degree,
     mono_mul,
@@ -21,6 +29,8 @@ from qlab import (
     p_to_x,
     poly_from_json_dict,
     q_lambda,
+    q_sym_at,
+    qa_sym_at,
     strict_partitions,
     tensor_map,
     tensor_of,
@@ -28,7 +38,7 @@ from qlab import (
 
 from qlab.monomial import MAX_EXPONENT, MAX_INDEX, check_mono
 
-from conftest import rand_fraction, rand_poly
+from conftest import RANDOM_A, rand_fraction, rand_poly
 
 
 def test_mono_helpers():
@@ -435,3 +445,43 @@ def test_substituted_matches_hand_built_arithmetic():
     assert const.family == "v" and const == Poly.const(F(5, 7), "v")
     assert Poly.zero()._substituted({}, "v") == Poly.zero("v")
     assert (p1**2 - p3)._substituted({1: v1, 3: v1**2}, "v").is_zero()
+
+
+_P1 = Poly.variable(1)
+
+# Every public entry point that takes a number from its caller, as a
+# function of that number.
+EXACT_ENTRY_POINTS = {
+    "Poly": lambda x: Poly({((1, 1),): x}),
+    "Tensor": lambda x: Tensor({((), ((1, 1),)): x}),
+    "const": lambda x: Poly.const(x),
+    "from_mono": lambda x: Poly.from_mono(((3, 1),), x),
+    "Poly.lincomb": lambda x: Poly.lincomb([(_P1, x)]),
+    "Tensor.lincomb": lambda x: Tensor.lincomb([(_P1, _P1, x)]),
+    "evaluate": lambda x: (_P1 * _P1 + Poly.variable(3)).evaluate({1: x, 3: 1}),
+    "ParamSeq": lambda x: ParamSeq([0, x]),
+    "elem_sym": lambda x: elem_sym(1, [1, x]),
+    "complete_sym": lambda x: complete_sym(2, [1, x]),
+    "exp_series": lambda x: exp_series([x, 1], 3),
+    "exp_series_det": lambda x: exp_series_det([x, 1], 3),
+    "exp_series one": lambda x: exp_series([1, 1], 3, one=x),
+    "log_series": lambda x: log_series([1, x], 3),
+    "log_series_by_inversion": lambda x: log_series_by_inversion([1, x], 3),
+    "q_sym_at": lambda x: q_sym_at((2, 1), [x, 1, 3]),
+    "qa_sym_at": lambda x: qa_sym_at((2, 1), RANDOM_A, [x, 1, 3]),
+    "eval_powersums": lambda x: eval_powersums(q_lambda((2, 1)), [x, 1, 3]),
+}
+
+
+@pytest.mark.parametrize("name", EXACT_ENTRY_POINTS)
+def test_entry_points_take_only_ints_and_fractions(name):
+    """Every number a caller passes in goes through one conversion, which
+    takes an int or a Fraction: a float, a str or a Decimal raises
+    TypeError naming its type, and an int gives what the equal Fraction
+    gives.  A float used to be read as its binary value by ParamSeq and
+    to crash Poly.lincomb with AttributeError."""
+    entry = EXACT_ENTRY_POINTS[name]
+    for bad in (0.5, "1/2", Decimal("0.5")):
+        with pytest.raises(TypeError, match=type(bad).__name__):
+            entry(bad)
+    assert entry(2) == entry(Fraction(2))
