@@ -85,7 +85,7 @@ def _parse_params(text: str, needed_max_index: int) -> ParamSeq:
         return ParamSeq.zeros(max(needed_max_index, 0))
     if text == "factorial":
         return ParamSeq.factorial(max(needed_max_index, 0))
-    a = ParamSeq(_parse_values(text)[:needed_max_index + 1])  # a ParamSeq forms a row per value
+    a = ParamSeq(_parse_values(text))
     a.prefix(needed_max_index)  # rejects a sequence too short for the request
     return a
 

@@ -18,6 +18,19 @@ The bilinear map apply_omega and the solution test is_bkp_tau_bilinear
 express the hierarchy's bilinear identity
 sum_n (-1)^n phi_n tau (x) phi_{-n} tau = tau (x) tau.
 
+Under the inner product <p_rho, p_sigma> = 2^-l(rho) z_rho [rho = sigma],
+for which <Q_lambda, Q_mu> = 2^l(lambda) [lambda = mu], the adjoint of
+phi_n is (-1)^n phi_{-n} (Date, Jimbo, Kashiwara and Miwa,
+"Transformation groups for soliton equations IV", 1982; You, "Polynomial
+solutions of the BKP hierarchy and projective representations of
+symmetric groups", 1989).  With the anticommutation rule this gives
+|phi_m f|^2 + |phi_{-m} f|^2 = 2 |f|^2, so a creation image phi_m f is
+zero exactly when its annihilation partner has norm 2 |f|^2, and
+is_bkp_tau_bilinear decides it that way without forming it.  Since
+phi_0^2 = 1, the n = 0 term (phi_0 tau) (x) (phi_0 tau) is tau (x) tau
+whenever phi_0 tau = +-tau, as on every Q_lambda, and it cancels the
+right side exactly.
+
 Two derivations of the images serve two routes.  is_bkp_tau_bilinear
 forms g_k(tau) once for the whole tau and then phi_m tau from the sum
 above (_phi_from); on a tau function the per-monomial images cancel
@@ -41,11 +54,12 @@ checks the verifier's g_k against the commutation rule.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .monomial import _key_vars, _key_weight
+from .monomial import _fields, _key_vars, _key_weight
 from .ring import LazyMap, Poly, Tensor, _bounded_cache
 from .series import schur_q_row
 
@@ -180,6 +194,27 @@ def apply_omega(t: Tensor, widen: int = 0) -> Tensor:
     )
 
 
+def _norm2(f: Poly) -> tuple[int, int]:
+    """<f, f> as (num, den) ints, under the inner product
+    <p_rho, p_sigma> = 2^-l(rho) z_rho [rho = sigma] with
+    z_rho = prod_i i^(m_i) m_i!: the sum of n_rho^2 z_rho 2^(top - l(rho))
+    over den^2 2^top, where f = sum n_rho p_rho / den and top is the
+    largest length l(rho) in f.  One pass; the sum is rescaled when top
+    grows."""
+    top = num = 0
+    for key, n in f._nums.items():
+        z, length, i = n * n, 0, 1
+        for e in _fields(key):
+            if e:
+                z *= i ** e * math.factorial(e)
+                length += e
+            i += 2
+        if length > top:
+            num, top = num << length - top, length
+        num += z << top - length
+    return num, f._den * f._den << top
+
+
 def is_bkp_tau_bilinear(f: Poly) -> tuple[bool, Tensor]:
     """Whether sum_n (-1)^n phi_n f (x) phi_{-n} f equals f (x) f.
 
@@ -189,14 +224,40 @@ def is_bkp_tau_bilinear(f: Poly) -> tuple[bool, Tensor]:
     each image phi_m f = sum_k Q_{m+k} g_k(f) from them, at most once
     and only when read: unlike the per-monomial images of apply_phi,
     g_k(f) has already cancelled what cancels between the monomials of
-    a tau function.  Both sides of the sum read one map of the images,
-    and a creation image phi_n f (n > 0) is formed only when its partner
-    phi_{-n} f is nonzero: on Q_lambda that is only for the parts n of
-    lambda.  Skipped terms have a zero factor, so the tensor is the full
-    sum.
+    a tau function.  Both sides of the sum read one map of the images.
+
+    A creation image phi_m f (m > 0) is read only when its partner
+    phi_{-m} f is nonzero, and even then it is not formed when a norm
+    proves it zero.  Under <p_rho, p_sigma> = 2^-l(rho) z_rho [rho = sigma]
+    the adjoint of phi_n is (-1)^n phi_{-n} (Date, Jimbo, Kashiwara and
+    Miwa, "Transformation groups for soliton equations IV", 1982; You,
+    "Polynomial solutions of the BKP hierarchy and projective
+    representations of symmetric groups", 1989), so the anticommutator
+    gives |phi_m f|^2 + |phi_{-m} f|^2 = 2 |f|^2, and phi_m f = 0 exactly
+    when |phi_{-m} f|^2 = 2 |f|^2 (_norm2, compared by cross-multiplying).
+    On Q_lambda every creation image is proven zero this way.  When
+    phi_0 f = +-f, the n = 0 term (phi_0 f) (x) (phi_0 f) = f (x) f and
+    the closing -f (x) f cancel, and both are left out.  Every skipped
+    term is exactly zero, so the tensor is the full sum.
     """
     gs = exp_derivation_coeffs(f)
-    phi = LazyMap(lambda _, m: _phi_from(m, gs)).__getitem__
+    num, den = _norm2(f)
+
+    def image(images, m):
+        if m > 0:
+            partner_num, partner_den = _norm2(images[-m])
+            if partner_num * den == 2 * num * partner_den:
+                return Poly.zero()
+        return _phi_from(m, gs)
+
+    phi = LazyMap(image).__getitem__
     w = f.weight()
-    acc = Tensor.lincomb(itertools.chain(_omega_triples(phi, phi, -w, w), [(f, f, -1)]))
+    phi0 = phi(0)
+    if phi0 == f or phi0._den == f._den and len(phi0._nums) == len(f._nums) and all(
+            phi0._nums.get(k) == -c for k, c in f._nums.items()):
+        # phi_0 f = +-f: the n = 0 term is f (x) f and cancels the closing -f (x) f.
+        triples = itertools.chain(_omega_triples(phi, phi, -w, -1), _omega_triples(phi, phi, 1, w))
+    else:
+        triples = itertools.chain(_omega_triples(phi, phi, -w, w), [(f, f, -1)])
+    acc = Tensor.lincomb(triples)
     return (acc.is_zero(), acc)

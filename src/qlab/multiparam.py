@@ -9,7 +9,7 @@ At a = 0 only lambda = alpha survives and the classical function returns.
 
 The slot coefficients of entry m are those of u (u-a_1)...(u-a_{m-1}),
 int numerators over one denominator read off the shifted basis that the
-ParamSeq formed when it was made, so the expansion adds and multiplies
+ParamSeq forms on first read, so the expansion adds and multiplies
 ints and divides once at the end.
 The sum is one fold over the entries, last to first, in the order in
 which X_{alpha_1} ... X_{alpha_l}(1) applies them (X_m below).  It keeps
@@ -71,9 +71,8 @@ def _slot_coeffs(part: int, a: ParamSeq) -> tuple[int, list[tuple[int, int]]]:
     ...]): each lambda with a nonzero coefficient of u^lambda in
     u (u-a_1)...(u-a_(part-1)), in increasing order, with that
     coefficient as an int numerator over den, read off row part - 1 of
-    the basis that a carries.  a.prefix raises when a is too short."""
-    a.prefix(part - 1)
-    den, nums = a._shifted[part - 1]
+    the basis that a carries, which raises when a is too short."""
+    den, nums = a._rows(part - 1)[part - 1]
     return den, [(lam, n) for lam, n in enumerate(nums, 1) if n]
 
 

@@ -108,7 +108,8 @@ def _parse_rational(text: str) -> Fraction:
 
 def _frozen(self, name, *value):
     """__setattr__ and __delattr__ of the value classes: their slots are
-    written once, by object.__setattr__ during construction."""
+    written only by object.__setattr__, during construction (and when a
+    ParamSeq swaps in a longer table of the rows it derives)."""
     raise AttributeError(f"{type(self).__name__} values are immutable")
 
 

@@ -15,7 +15,8 @@ The shifted-power transitions expand ordinary powers u^n (and 1/u^n) in
 the basis of products (u-a_1)(u-a_2)...(u-a_k) (and their reciprocals)
 built from a parameter sequence a with a_0 = 0, and back.  The e-side
 reads the products (u-a_1)...(u-a_k), multiplied out once in integers
-when the ParamSeq is made; every h_k comes from one table (_complete_syms).
+when a reader of the ParamSeq first asks for them; every h_k comes from
+one table (_complete_syms).
 """
 
 from __future__ import annotations
@@ -191,14 +192,18 @@ def schur_q_x_list(k: int) -> list:
     return out
 
 
-def _shifted_products(values: Iterable[Scalar]) -> list[tuple[int, tuple[int, ...]]]:
+def _shifted_products(values: Iterable[Scalar],
+                      start: tuple[int, tuple[int, ...]] = (1, (1,))
+                      ) -> list[tuple[int, tuple[int, ...]]]:
     """(den, nums) for k = 0..n: the coefficients of u^0..u^k in
     (u-a_1)...(u-a_k) as int numerators over one positive denominator, from
     one running product over values = (a_1..a_n), ints or Fractions.  Each
     a_i = p/q in lowest terms is multiplied in as the factor (q u - p)/q.
     Every such factor has coprime integer coefficients, so by Gauss's lemma
-    so does each product, and each row is in lowest terms without a gcd."""
-    rows = [(1, (1,))]
+    so does each product, and each row is in lowest terms without a gcd.
+    The product starts from the row start, by default the empty product 1,
+    which is the first row returned."""
+    rows = [start]
     for p, q in ((v.numerator, v.denominator) for v in values):
         den, nums = rows[-1]
         rows.append((den * q, tuple(q * hi - p * lo for lo, hi in zip(nums + (0,), (0,) + nums))))
@@ -246,9 +251,11 @@ class ParamSeq:
     never confused with missing ones.  Named infinite families are
     produced to an explicit length by the classmethods.
 
-    The sequence carries its shifted basis: _shifted[k] is (den, nums) of
-    (u-a_1)...(u-a_k) for k = 0..max_index, formed once by
-    _shifted_products; its readers check the length with prefix first.
+    The sequence carries its shifted basis: row k is (den, nums) of
+    (u-a_1)...(u-a_k), formed by _shifted_products when a reader first asks
+    for it through _rows, and kept.  _shifted holds the rows formed so far
+    and is extended only by swapping in a longer tuple, so a reader never
+    sees a partial table.
     """
 
     __slots__ = ("values", "_shifted")
@@ -260,12 +267,24 @@ class ParamSeq:
         if vals[0] != 0:
             raise ValueError("parameter sequence must have a_0 = 0")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_shifted", tuple(_shifted_products(vals[1:])))
+        object.__setattr__(self, "_shifted", ((1, (1,)),))
 
     __setattr__ = __delattr__ = _frozen
 
     def __reduce__(self):
         return ParamSeq, (self.values,)
+
+    def _rows(self, k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """The rows 0..k of the shifted basis, and perhaps more; raises like
+        prefix when the sequence is too short.  Two threads that extend the
+        table at once each return a complete table of their own; at worst
+        the shorter one is kept and extended again later."""
+        self.prefix(k)
+        rows = self._shifted
+        if k >= len(rows):
+            rows += tuple(_shifted_products(self.values[len(rows):k + 1], rows[-1])[1:])
+            object.__setattr__(self, "_shifted", rows)
+        return rows
 
     @property
     def max_index(self) -> int:
@@ -351,8 +370,7 @@ def shifted_transition(n: int, direction: str, a: ParamSeq,
     if n < 0:
         raise ValueError("n must be nonnegative")
     if direction == "shifted_to_power":
-        a.prefix(n)
-        den, nums = a._shifted[n]
+        den, nums = a._rows(n)[n]
         return [Fraction(c, den) for c in nums]
     if direction == "power_to_shifted":
         return [complete_sym(n - k, a.prefix(k + 1)) for k in range(n)] + [_ONE]
@@ -363,7 +381,7 @@ def shifted_transition(n: int, direction: str, a: ParamSeq,
     if direction == "inv_shifted_to_power":
         return [_ZERO] * n + _complete_syms(a.prefix(n), cutoff - n)
     # (-1)^(k-n) e_(k-n)(a_1..a_(k-1)) is the u^(n-1) coefficient of row k - 1.
-    a.prefix(max(cutoff - 1, 0))
+    rows = a._rows(max(cutoff - 1, 0))
     if n == 0:
         return [_ONE] + [_ZERO] * cutoff
-    return [_ZERO] * n + [Fraction(nums[n - 1], den) for den, nums in a._shifted[n - 1:cutoff]]
+    return [_ZERO] * n + [Fraction(nums[n - 1], den) for den, nums in rows[n - 1:cutoff]]

@@ -243,17 +243,18 @@ def test_params_without_a0_report_the_rule(capsys):
 
 def test_long_params_build_only_the_values_read(monkeypatch, capsys):
     """qa, a qa: tau and oracle-compare --params parse and check the whole
-    list, then build their ParamSeq from a_0..a_needed only: a ParamSeq
-    multiplies out one row per value, so a 3,000-value list used to take
-    seconds for the few values a small index reads.  The output is that
-    of the short list, and a malformed entry anywhere, a nonzero a_0 or a
-    list too short still exits 2 with its message."""
+    list, and the rows (u - a_1)...(u - a_k) of their ParamSeq are
+    multiplied out only up to the a_needed the request reads: a
+    3,000-value list once took seconds for the few values a small index
+    reads.  The output is that of the short list, and a malformed entry
+    anywhere, a nonzero a_0 or a list too short still exits 2 with its
+    message."""
     from qlab import series
 
     held = []
     rows = series._shifted_products
     monkeypatch.setattr(series, "_shifted_products",
-                        lambda values: held.append(len(values)) or rows(values))
+                        lambda values, *start: held.append(len(values)) or rows(values, *start))
     long = ",".join(map(str, range(3000)))
     assert run_cli(capsys, "qa", "1", "--params", long) == (0, "2*p1\n", "")
     for *argv, spec in (["qa", "3,1", "--params", "{}"], ["check-bilinear", "--tau", "qa:3,1@{}"],

@@ -231,10 +231,35 @@ def test_is_bkp_discrepancy_is_omega_minus_square(witness):
         witness,
         q_lambda((4, 2)) + p1 * p1 * q_lambda((2,)) * F(2, 3),
         multiparam_q((3, 2), RANDOM_A),
+        # Odd length: phi_0 tau = -tau, and the n = 0 term cancels the right side.
+        q_lambda((5, 3, 1)),
+        q_lambda((6, 2)) + p1 * p1 * q_lambda((4, 2)) * F(3, 7),
+        q_lambda((7, 2, 1)) + p1 * p1 * q_lambda((5, 2, 1)) * F(2, 7),
+        multiparam_q((4, 2, 1), ParamSeq.factorial(3)),
     ]
     for f in taus:
         ff = tensor_of(f, f)
         assert is_bkp_tau_bilinear(f)[1] == apply_omega(ff) - ff
+
+
+def test_bilinear_verifier_forms_no_creation_image_of_q_lambda(monkeypatch):
+    # On Q_lambda the norm identity proves every creation image phi_m tau
+    # (m > 0) zero, and the n = 0 term cancels the right side, so no image
+    # with m > 0 is formed and no term reaches the tensor.
+    phi_from, lincomb = fermion._phi_from, Tensor.lincomb.__func__
+    formed, summed = [], []
+    monkeypatch.setattr(fermion, "_phi_from", lambda m, gs: formed.append(m) or phi_from(m, gs))
+
+    def spy(cls, triples):
+        triples = list(triples)
+        summed.extend(triples)
+        return lincomb(cls, triples)
+
+    monkeypatch.setattr(Tensor, "lincomb", classmethod(spy))
+    ok, disc = is_bkp_tau_bilinear(q_lambda((13, 7, 3, 1)))
+    assert ok and disc.is_zero()
+    assert formed and max(formed) <= 0
+    assert summed == []
 
 
 def test_bilinear_verifier_reads_no_per_monomial_image():

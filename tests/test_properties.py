@@ -25,6 +25,7 @@ from qlab import (
     apply_phi,
     complete_sym,
     elem_sym,
+    exp_derivation_coeffs,
     graded_monomials,
     hirota_apply,
     hirota_apply_taylor,
@@ -32,12 +33,16 @@ from qlab import (
     multiparam_q_via_fermions,
     poly_from_json_dict,
     poly_to_json_dict,
+    q_lambda,
+    strict_partitions,
     tensor_map,
     tensor_of,
 )
-from qlab import monomial, ring, series
+from qlab import fermion, monomial, ring, series
 from qlab.monomial import FAMILY_LETTERS, MAX_EXPONENT, mono_degree, mono_sort_key, mono_text, mono_weight
 from qlab.ring import accumulate
+
+from conftest import rand_poly
 
 deterministic = settings(derandomize=True, deadline=None, database=None)
 
@@ -338,6 +343,31 @@ def test_phi_anticommutation(f, m, n):
     assert lhs == (f * (2 if m % 2 == 0 else -2) if m + n == 0 else Poly.zero())
 
 
+def _norm(f):
+    return Fraction(*fermion._norm2(f))
+
+
+@deterministic
+@given(st.randoms(use_true_random=False), st.integers(1, 5))
+def test_phi_norm_identity(rng, terms):
+    """|phi_n f|^2 + |phi_{-n} f|^2 = 2 |f|^2 for every n >= 1, the identity
+    by which is_bkp_tau_bilinear proves a creation image zero: phi_n and
+    (-1)^n phi_{-n} are adjoint under the inner product of _norm2."""
+    f = rand_poly(rng, max_weight=8, terms=terms)
+    gs = exp_derivation_coeffs(f)
+    for n in range(1, f.weight() + 3):
+        assert _norm(fermion._phi_from(n, gs)) + _norm(fermion._phi_from(-n, gs)) == 2 * _norm(f)
+
+
+def test_norm2_is_the_schur_q_inner_product():
+    """<Q_lambda, Q_mu> = 2^l(lambda) [lambda = mu] for strict |lambda|, |mu| <= 8,
+    each inner product read off _norm2 by polarization."""
+    qs = [(lam, q_lambda(lam)) for lam in strict_partitions(8)]
+    for lam, f in qs:
+        for mu, g in qs:
+            assert (_norm(f + g) - _norm(f - g)) / 4 == (2 ** len(lam) if lam == mu else 0)
+
+
 # The two symmetric-polynomial kernels against brute-force sums.
 
 sym_values = st.lists(st.one_of(st.integers(-3, 3), coefs), max_size=6)
@@ -378,7 +408,8 @@ def test_param_seq_carries_its_shifted_basis(a):
     expanded here by plain Fraction list multiplication and reduced to int
     numerators over the least common denominator; copies and unpickled
     values rebuild the same table."""
-    assert len(a._shifted) == a.max_index + 1
+    rows = a._rows(a.max_index)
+    assert len(rows) == a.max_index + 1
     poly = [Fraction(1)]  # lowest degree first
     for k in range(a.max_index + 1):
         if k:
@@ -387,9 +418,9 @@ def test_param_seq_carries_its_shifted_basis(a):
                 shifted[i] -= a.get(k) * c
             poly = shifted
         den = math.lcm(*(c.denominator for c in poly))
-        assert a._shifted[k] == (den, tuple(int(c * den) for c in poly))
+        assert rows[k] == (den, tuple(int(c * den) for c in poly))
     for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
-        assert twin == a and twin._shifted == a._shifted
+        assert twin == a and twin._rows(twin.max_index) == rows
 
 
 @deterministic

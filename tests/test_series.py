@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from qlab import (
     schur_q_x_list,
     shifted_transition,
 )
+from qlab import series
 
 from conftest import LONG_A, RANDOM_A, rand_fraction
 
@@ -203,6 +205,26 @@ def test_param_seq_is_immutable():
         assert twin == a
         assert hash(twin) == hash(a)
         assert twin in table
+
+
+def test_param_seq_forms_its_rows_when_read():
+    """A long sequence is made without multiplying out any row; the rows
+    (u - a_1)...(u - a_k) are formed up to the k a reader asks for, equal
+    those of one running product, and a longer table is swapped in whole,
+    so a table already read is never changed."""
+    start = time.perf_counter()
+    a = ParamSeq(range(4000))
+    assert time.perf_counter() - start < 0.1
+    assert a.max_index == 3999
+    expect = series._shifted_products(range(1, 61))
+    first = a._rows(10)
+    assert first == tuple(expect[:11])
+    assert a._rows(60)[:61] == tuple(expect)
+    assert first == tuple(expect[:11])
+    assert a._rows(25) is a._rows(60)
+    assert shifted_transition(5, "shifted_to_power", a) == [F(c, expect[5][0]) for c in expect[5][1]]
+    with pytest.raises(ValueError, match="a_1..a_4000 requested"):
+        a._rows(4000)
 
 
 def test_shifted_transition_examples():
