@@ -34,11 +34,14 @@ right side exactly.
 Two derivations of the images serve two routes.  is_bkp_tau_bilinear
 forms g_k(tau) once for the whole tau and then phi_m tau from the sum
 above (_phi_from); on a tau function the per-monomial images cancel
-heavily, so summing g_k(tau) first does far less work.  apply_phi, and
-with it q_lambda and the multiparameter constructions, goes monomial by
-monomial: the image of phi_m on one monomial is cached (_phi_mono), and
-every Q-function of one weight shares those images (Q_4 and Q_{3,1} both
-have the monomials p1^4 and p1 p3).  An image is built by the
+heavily, so summing g_k(tau) first does far less work.  On the diagonal
+tau (x) tau the terms n and -n of the sum are the same two images in
+both orders, so the verifier is one loop over m >= 1 that forms
+phi_{-m} tau and phi_m tau once each and uses each pair twice.  apply_phi,
+and with it q_lambda and the multiparameter constructions, goes monomial
+by monomial: the image of phi_m on one monomial is cached (_phi_mono),
+and every Q-function of one weight shares those images (Q_4 and Q_{3,1}
+both have the monomials p1^4 and p1 p3).  An image is built by the
 commutation rule phi_m(p_n f) = p_n phi_m f - phi_{m+n} f, which the
 shift p_n -> p_n - v^n of the exponential gives (N. Jing, "Vertex
 operators, symmetric functions, and the spin group Gamma_n", J. Algebra
@@ -53,14 +56,13 @@ checks the verifier's g_k against the commutation rule.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from collections.abc import Sequence
 from fractions import Fraction
 
 from .monomial import _fields, _key_vars, _key_weight
-from .ring import LazyMap, Poly, Tensor, _bounded_cache
+from .ring import Poly, Tensor, _bounded_cache
 from .series import schur_q_row
 
 
@@ -139,35 +141,6 @@ def _q_sum(coeffs: dict[tuple[int, ...], int], den: int) -> Poly:
     return Poly._lincomb(((q_lambda(lam), c) for lam, c in sorted(coeffs.items())), "p", den)
 
 
-def _omega_triples(phi_f, phi_g, lo: int, hi: int, c=1):
-    """The nonzero terms (phi_n f, phi_{-n} g, (-1)^n c) of
-    c * sum_n (-1)^n phi_n f (x) phi_{-n} g over lo <= n <= hi, where
-    phi_f(m) and phi_g(m) return the images phi_m f and phi_m g.
-
-    Of the two factors, the one whose index is not positive is read
-    first: phi_m h with m <= 0 keeps only the terms Q_{m+k} g_k(h) with
-    k >= -m, so it is the cheap annihilation side and is zero for most m
-    (on Q_lambda, phi_{-n} is nonzero only for the parts n of lambda).
-    The other, creation factor is read only when the first is nonzero;
-    a term with a zero factor is zero, so skipping it is exact.
-
-    This is the one Omega loop; its callers differ only in the functions
-    they hand in, and the loop reads each index of each at most once.
-    apply_omega hands in the cached per-monomial images of each monomial
-    pair, is_bkp_tau_bilinear the lookup of one LazyMap of whole-tau
-    images for both sides, which is where images are reused.
-    """
-    for n in range(lo, hi + 1):
-        if n > 0:
-            right = phi_g(-n)
-            left = right and phi_f(n)
-        else:
-            left = phi_f(n)
-            right = left and phi_g(-n)
-        if left and right:
-            yield left, right, c if n % 2 == 0 else -c
-
-
 def apply_omega(t: Tensor, widen: int = 0) -> Tensor:
     """The bilinear Casimir-style operator
     sum_n phi_n (x) (-1)^n phi_{-n} applied to a tensor.
@@ -177,21 +150,29 @@ def apply_omega(t: Tensor, widen: int = 0) -> Tensor:
     so the sum runs over -weight(f) <= n <= weight(g).  The widen
     parameter enlarges that range symmetrically; the result must not
     depend on it, which tests exercise.  Each pair of monomials is
-    expanded separately through the cached per-monomial images, and for
-    each n the annihilation factor (phi_{-n} g for n > 0, phi_n f
-    otherwise) is formed first and the creation factor only when it is
-    nonzero (see _omega_triples).
+    expanded separately through the cached per-monomial images.  Of the
+    two factors, the one whose index is not positive is read first:
+    phi_m h with m <= 0 keeps only the terms Q_{m+k} g_k(h) with k >= -m,
+    so it is the cheap annihilation side and is zero for most m.  The
+    other, creation factor is read only when the first is nonzero; a
+    term with a zero factor is zero, so skipping it is exact.
     """
     if widen < 0:
         raise ValueError("widen must be nonnegative")
-    return Tensor.lincomb(
-        triple
-        for kl, kr, c in t._key_terms()
-        for triple in _omega_triples(
-            lambda m: _phi_mono(m, kl), lambda m: _phi_mono(m, kr),
-            -_key_weight(kl) - widen, _key_weight(kr) + widen, c,
-        )
-    )
+
+    def triples():
+        for kl, kr, c in t._key_terms():
+            for n in range(-_key_weight(kl) - widen, _key_weight(kr) + widen + 1):
+                if n > 0:
+                    right = _phi_mono(-n, kr)
+                    left = right and _phi_mono(n, kl)
+                else:
+                    left = _phi_mono(n, kl)
+                    right = left and _phi_mono(-n, kr)
+                if left and right:
+                    yield left, right, c if n % 2 == 0 else -c
+
+    return Tensor.lincomb(triples())
 
 
 def _norm2(f: Poly) -> tuple[int, int]:
@@ -221,43 +202,52 @@ def is_bkp_tau_bilinear(f: Poly) -> tuple[bool, Tensor]:
     Returns the verdict together with the discrepancy tensor
     (left side minus right side), which is zero exactly on success.
     The shift coefficients g_k(f) are formed once for the whole f, and
-    each image phi_m f = sum_k Q_{m+k} g_k(f) from them, at most once
-    and only when read: unlike the per-monomial images of apply_phi,
-    g_k(f) has already cancelled what cancels between the monomials of
-    a tau function.  Both sides of the sum read one map of the images.
+    each image phi_m f = sum_k Q_{m+k} g_k(f) from them, at most once:
+    unlike the per-monomial images of apply_phi, g_k(f) has already
+    cancelled what cancels between the monomials of a tau function.
 
-    A creation image phi_m f (m > 0) is read only when its partner
-    phi_{-m} f is nonzero, and even then it is not formed when a norm
-    proves it zero.  Under <p_rho, p_sigma> = 2^-l(rho) z_rho [rho = sigma]
-    the adjoint of phi_n is (-1)^n phi_{-n} (Date, Jimbo, Kashiwara and
-    Miwa, "Transformation groups for soliton equations IV", 1982; You,
+    The terms n = m and n = -m of the sum are the same two images in
+    both orders, so one loop over m = w, ..., 1 (w = weight(f)) forms the
+    annihilation image phi_{-m} f, skips m when it is zero, and otherwise
+    forms the creation image phi_m f only when a norm does not prove it
+    zero.  Under <p_rho, p_sigma> = 2^-l(rho) z_rho [rho = sigma] the
+    adjoint of phi_n is (-1)^n phi_{-n} (Date, Jimbo, Kashiwara and Miwa,
+    "Transformation groups for soliton equations IV", 1982; You,
     "Polynomial solutions of the BKP hierarchy and projective
     representations of symmetric groups", 1989), so the anticommutator
     gives |phi_m f|^2 + |phi_{-m} f|^2 = 2 |f|^2, and phi_m f = 0 exactly
     when |phi_{-m} f|^2 = 2 |f|^2 (_norm2, compared by cross-multiplying).
-    On Q_lambda every creation image is proven zero this way.  When
-    phi_0 f = +-f, the n = 0 term (phi_0 f) (x) (phi_0 f) = f (x) f and
-    the closing -f (x) f cancel, and both are left out.  Every skipped
-    term is exactly zero, so the tensor is the full sum.
+    On Q_lambda every creation image is proven zero this way.  The
+    terms n < 0 are summed first, then n = 0, then n > 0 from the kept
+    pairs, then the closing -f (x) f: summing both orders of a pair
+    together grows the tensor before it cancels.  When phi_0 f = +-f,
+    the n = 0 term (phi_0 f) (x) (phi_0 f) = f (x) f and the closing
+    -f (x) f cancel, and both are left out.  Every skipped term is
+    exactly zero, so the tensor is the full sum.
     """
-    gs = exp_derivation_coeffs(f)
+    gs =exp_derivation_coeffs(f)
     num, den = _norm2(f)
 
-    def image(images, m):
-        if m > 0:
-            partner_num, partner_den = _norm2(images[-m])
-            if partner_num * den == 2 * num * partner_den:
-                return Poly.zero()
-        return _phi_from(m, gs)
+    def triples():
+        pairs = []
+        for m in range(f.weight(), 0, -1):
+            down = _phi_from(-m, gs)
+            if not down:
+                continue
+            down_num, down_den = _norm2(down)
+            if down_num * den == 2 * num * down_den:
+                continue
+            up = _phi_from(m, gs)
+            pairs.append((m, down, up))
+            yield down, up, (-1) ** m
+        phi0 = _phi_from(0, gs)
+        cancels = phi0 == f or phi0 == -f
+        if not cancels:
+            yield phi0, phi0, 1
+        for m, down, up in reversed(pairs):
+            yield up, down, (-1) ** m
+        if not cancels:
+            yield f, f, -1
 
-    phi = LazyMap(image).__getitem__
-    w = f.weight()
-    phi0 = phi(0)
-    if phi0 == f or phi0._den == f._den and len(phi0._nums) == len(f._nums) and all(
-            phi0._nums.get(k) == -c for k, c in f._nums.items()):
-        # phi_0 f = +-f: the n = 0 term is f (x) f and cancels the closing -f (x) f.
-        triples = itertools.chain(_omega_triples(phi, phi, -w, -1), _omega_triples(phi, phi, 1, w))
-    else:
-        triples = itertools.chain(_omega_triples(phi, phi, -w, w), [(f, f, -1)])
-    acc = Tensor.lincomb(triples)
+    acc = Tensor.lincomb(triples())
     return (acc.is_zero(), acc)

@@ -42,7 +42,9 @@ cache through an output.
 Code outside this module reads the integer form only through the private
 methods of Poly (_lincomb, _linear_image, _substituted, _rescaled,
 _filtered, _renamings, _div_linear, _canonical_texts) and Tensor
-(_key_terms, _text_pieces).
+(_key_terms, _text_pieces), with one exception: fermion._norm2 reads a
+Poly's _nums and _den and each key's exponent fields (_fields) to sum
+the inner product <f, f> in ints.
 The maps handed to _linear_image receive packed keys: the per-monomial
 phi_m cache keys on them as they are, and the D^gamma map of the Hirota
 evaluator and _substituted, the one substitution routine (the oracle's

@@ -262,6 +262,25 @@ def test_bilinear_verifier_forms_no_creation_image_of_q_lambda(monkeypatch):
     assert summed == []
 
 
+def test_bilinear_verifier_forms_each_image_once(monkeypatch):
+    # Each phi_m tau is formed at most once, and a creation image (m > 0)
+    # only after its annihilation partner phi_{-m} tau has been read.
+    phi_from = fermion._phi_from
+    formed = []
+    monkeypatch.setattr(fermion, "_phi_from", lambda m, gs: formed.append(m) or phi_from(m, gs))
+    p1 = Poly.variable(1)
+    a = ParamSeq.factorial(6)
+    for tau in (
+        q_lambda((7, 5)) + p1 * p1 * q_lambda((6, 4)) * F(4, 7),
+        multiparam_q((6, 3, 1), a) + p1 * p1 * multiparam_q((4, 3, 1), a) * F(4, 7),
+    ):
+        formed.clear()
+        assert not is_bkp_tau_bilinear(tau)[0]
+        assert len(formed) == len(set(formed))
+        assert any(m > 0 for m in formed)
+        assert all(formed.index(-m) < i for i, m in enumerate(formed) if m > 0)
+
+
 def test_bilinear_verifier_reads_no_per_monomial_image():
     # is_bkp_tau_bilinear forms phi_m tau from g_k(tau) of the whole tau;
     # apply_omega on tau (x) tau goes through the per-monomial cache.
