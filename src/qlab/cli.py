@@ -54,7 +54,7 @@ from .multiparam import multiparam_q
 from .oracle import MAX_VARS, eval_powersums, q_sym_at, qa_sym_at
 from .ring import Poly, strict_partitions
 from .serialize import poly_from_json_dict, poly_to_json_dict
-from .series import ParamSeq, _parse_values
+from .series import ParamSeq
 
 # The most random points one oracle-compare run evaluates.
 MAX_POINTS = 100
@@ -85,7 +85,7 @@ def _parse_params(text: str, needed_max_index: int) -> ParamSeq:
         return ParamSeq.zeros(max(needed_max_index, 0))
     if text == "factorial":
         return ParamSeq.factorial(max(needed_max_index, 0))
-    a = ParamSeq(_parse_values(text))
+    a = ParamSeq.parse(text)
     a.prefix(needed_max_index)  # rejects a sequence too short for the request
     return a
 

@@ -26,7 +26,8 @@ solutions of the BKP hierarchy and projective representations of
 symmetric groups", 1989).  With the anticommutation rule this gives
 |phi_m f|^2 + |phi_{-m} f|^2 = 2 |f|^2, so a creation image phi_m f is
 zero exactly when its annihilation partner has norm 2 |f|^2, and
-is_bkp_tau_bilinear decides it that way without forming it.  Since
+is_bkp_tau_bilinear decides it that way without forming it, reading each
+norm from Poly._norm2 as a ratio of ints.  Since
 phi_0^2 = 1, the n = 0 term (phi_0 tau) (x) (phi_0 tau) is tau (x) tau
 whenever phi_0 tau = +-tau, as on every Q_lambda, and it cancels the
 right side exactly.
@@ -56,12 +57,10 @@ checks the verifier's g_k against the commutation rule.
 
 from __future__ import annotations
 
-import math
 import operator
 from collections.abc import Sequence
-from fractions import Fraction
 
-from .monomial import _fields, _key_vars, _key_weight
+from .monomial import _key_vars, _key_weight
 from .ring import Poly, Tensor, _bounded_cache
 from .series import schur_q_row
 
@@ -80,8 +79,8 @@ def exp_derivation_coeffs(f: Poly, sign: int = -1) -> list[Poly]:
         raise ValueError("fermion operators act on power-sum polynomials")
     out = [f]
     for k in range(1, f.weight() + 1):
-        out.append(Poly.lincomb(
-            (out[k - n].diff(n), Fraction(sign * n, k)) for n in range(1, k + 1, 2)
+        out.append(Poly._lincomb(
+            ((out[k - n].diff(n), sign * n) for n in range(1, k + 1, 2)), "p", k
         ))
     return out
 
@@ -175,27 +174,6 @@ def apply_omega(t: Tensor, widen: int = 0) -> Tensor:
     return Tensor.lincomb(triples())
 
 
-def _norm2(f: Poly) -> tuple[int, int]:
-    """<f, f> as (num, den) ints, under the inner product
-    <p_rho, p_sigma> = 2^-l(rho) z_rho [rho = sigma] with
-    z_rho = prod_i i^(m_i) m_i!: the sum of n_rho^2 z_rho 2^(top - l(rho))
-    over den^2 2^top, where f = sum n_rho p_rho / den and top is the
-    largest length l(rho) in f.  One pass; the sum is rescaled when top
-    grows."""
-    top = num = 0
-    for key, n in f._nums.items():
-        z, length, i = n * n, 0, 1
-        for e in _fields(key):
-            if e:
-                z *= i ** e * math.factorial(e)
-                length += e
-            i += 2
-        if length > top:
-            num, top = num << length - top, length
-        num += z << top - length
-    return num, f._den * f._den << top
-
-
 def is_bkp_tau_bilinear(f: Poly) -> tuple[bool, Tensor]:
     """Whether sum_n (-1)^n phi_n f (x) phi_{-n} f equals f (x) f.
 
@@ -216,7 +194,7 @@ def is_bkp_tau_bilinear(f: Poly) -> tuple[bool, Tensor]:
     "Polynomial solutions of the BKP hierarchy and projective
     representations of symmetric groups", 1989), so the anticommutator
     gives |phi_m f|^2 + |phi_{-m} f|^2 = 2 |f|^2, and phi_m f = 0 exactly
-    when |phi_{-m} f|^2 = 2 |f|^2 (_norm2, compared by cross-multiplying).
+    when |phi_{-m} f|^2 = 2 |f|^2 (Poly._norm2, compared by cross-multiplying).
     On Q_lambda every creation image is proven zero this way.  The
     terms n < 0 are summed first, then n = 0, then n > 0 from the kept
     pairs, then the closing -f (x) f: summing both orders of a pair
@@ -225,8 +203,8 @@ def is_bkp_tau_bilinear(f: Poly) -> tuple[bool, Tensor]:
     -f (x) f cancel, and both are left out.  Every skipped term is
     exactly zero, so the tensor is the full sum.
     """
-    gs =exp_derivation_coeffs(f)
-    num, den = _norm2(f)
+    gs = exp_derivation_coeffs(f)
+    num, den = f._norm2()
 
     def triples():
         pairs = []
@@ -234,7 +212,7 @@ def is_bkp_tau_bilinear(f: Poly) -> tuple[bool, Tensor]:
             down = _phi_from(-m, gs)
             if not down:
                 continue
-            down_num, down_den = _norm2(down)
+            down_num, down_den = down._norm2()
             if down_num * den == 2 * num * down_den:
                 continue
             up = _phi_from(m, gs)

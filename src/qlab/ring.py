@@ -41,10 +41,8 @@ cache through an output.
 
 Code outside this module reads the integer form only through the private
 methods of Poly (_lincomb, _linear_image, _substituted, _rescaled,
-_filtered, _renamings, _div_linear, _canonical_texts) and Tensor
-(_key_terms, _text_pieces), with one exception: fermion._norm2 reads a
-Poly's _nums and _den and each key's exponent fields (_fields) to sum
-the inner product <f, f> in ints.
+_filtered, _renamings, _div_linear, _norm2, _canonical_texts) and Tensor
+(_key_terms, _text_pieces).
 The maps handed to _linear_image receive packed keys: the per-monomial
 phi_m cache keys on them as they are, and the D^gamma map of the Hirota
 evaluator and _substituted, the one substitution routine (the oracle's
@@ -496,6 +494,26 @@ class Poly(_IntegerForm):
             raise ArithmeticError(f"division by x{p} - x{q} left a remainder")
         return Poly._make(out, self._den, self.family)
 
+    def _norm2(self) -> tuple[int, int]:
+        """<f, f> as (num, den) ints for f = self in the p family, under the
+        inner product <p_rho, p_sigma> = 2^-l(rho) z_rho [rho = sigma] with
+        z_rho = prod_i i^(m_i) m_i!: the sum of n_rho^2 z_rho 2^(top - l(rho))
+        over den^2 2^top, where f = sum n_rho p_rho / den and top is the
+        largest length l(rho) in f.  One pass; the sum is rescaled when top
+        grows."""
+        top = num = 0
+        for key, n in self._nums.items():
+            z, length, i = n * n, 0, 1
+            for e in _fields(key):
+                if e:
+                    z *= i ** e * math.factorial(e)
+                    length += e
+                i += 2
+            if length > top:
+                num, top = num << length - top, length
+            num += z << top - length
+        return num, self._den * self._den << top
+
     @classmethod
     def zero(cls, family: str = "p") -> "Poly":
         return cls._make({}, 1, check_family(family))
@@ -674,9 +692,9 @@ class Poly(_IntegerForm):
         den = self._den
         return [(rec, _ratio_text(n, den)) for rec, n in self._canonical_rows()]
 
-    def text(self, letter: str | None = None) -> str:
+    def text(self) -> str:
         """Canonical text form, e.g. '4/3*p1^3 - 4/3*p3'."""
-        letter = letter or FAMILY_LETTERS[self.family]
+        letter = FAMILY_LETTERS[self.family]
         return "".join(_signed_pieces(
             (c, mono_text(rec[1], letter)) for rec, c in self._canonical_texts()))
 

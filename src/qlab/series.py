@@ -175,8 +175,9 @@ def schur_q_row(k: int) -> Poly:
         return Poly.zero()
     if k == 0:
         return Poly.one()
-    return Poly.lincomb(
-        [(Poly.variable(j) * schur_q_row(k - j), Fraction(2, k)) for j in range(1, k + 1, 2)]
+    # A list: a generator would double the stack depth of the recursion.
+    return Poly._lincomb(
+        [(Poly.variable(j) * schur_q_row(k - j), 2) for j in range(1, k + 1, 2)], "p", k
     )
 
 

@@ -381,6 +381,27 @@ def test_internal_error_exit_3(monkeypatch, capsys):
     assert err == "internal error: RuntimeError: broken construction\n"
 
 
+def test_oracle_compare_reports_mismatches(monkeypatch, capsys):
+    """A construction off by 1 on one partition fails at every point: one
+    MISMATCH line each, a FAIL count and exit status 1."""
+    def wrong(vec):
+        return q_lambda(vec) + 1 if tuple(vec) == (2, 1) else q_lambda(vec)
+
+    monkeypatch.setattr(cli, "q_lambda", wrong)
+    code, out, err = run_cli(capsys, "oracle-compare", "--max-sum", "3", "--nvars", "3",
+                             "--points", "2", "--seed", "11")
+    assert code == 1
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[:2] == ["ok q 1", "ok q 2"]
+    assert lines[4:] == ["ok q 3", "FAIL: 2 mismatches"]
+    for line in lines[2:4]:
+        head, values = line.split(": ")
+        assert head == "MISMATCH q 2,1"
+        lhs, rhs = map(Fraction, values.split(" != "))
+        assert rhs - lhs == 1
+
+
 def test_default_weight_cap():
     """Unset, QLAB_MAX_WEIGHT is 64: q 1200, whose one-row Q would run out
     of recursion depth, exits 2 at once.  The command runs in its own

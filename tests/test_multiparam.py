@@ -187,6 +187,19 @@ def test_expansion_check_builds_each_vector_once(monkeypatch):
     assert sorted(calls) == sorted(itertools.product(range(1, 7), repeat=2))
 
 
+def test_expansion_check_detects_a_wrong_function(monkeypatch):
+    """One perturbed multiparameter function makes the check fail."""
+    a = ParamSeq.factorial(3)
+
+    def perturbed(alpha, a):
+        f = multiparam_q(alpha, a)
+        return f + Poly.variable(1) if alpha == (2,) else f
+
+    assert check_multiparam_expansion(1, a, 3)
+    monkeypatch.setattr(multiparam, "multiparam_q", perturbed)
+    assert not check_multiparam_expansion(1, a, 3)
+
+
 def test_expansion_check_errors():
     with pytest.raises(ValueError):
         check_multiparam_expansion(3, RANDOM_A, 4)

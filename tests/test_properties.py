@@ -344,7 +344,7 @@ def test_phi_anticommutation(f, m, n):
 
 
 def _norm(f):
-    return Fraction(*fermion._norm2(f))
+    return Fraction(*f._norm2())
 
 
 @deterministic
@@ -352,7 +352,7 @@ def _norm(f):
 def test_phi_norm_identity(rng, terms):
     """|phi_n f|^2 + |phi_{-n} f|^2 = 2 |f|^2 for every n >= 1, the identity
     by which is_bkp_tau_bilinear proves a creation image zero: phi_n and
-    (-1)^n phi_{-n} are adjoint under the inner product of _norm2."""
+    (-1)^n phi_{-n} are adjoint under the inner product of Poly._norm2."""
     f = rand_poly(rng, max_weight=8, terms=terms)
     gs = exp_derivation_coeffs(f)
     for n in range(1, f.weight() + 3):
@@ -361,7 +361,7 @@ def test_phi_norm_identity(rng, terms):
 
 def test_norm2_is_the_schur_q_inner_product():
     """<Q_lambda, Q_mu> = 2^l(lambda) [lambda = mu] for strict |lambda|, |mu| <= 8,
-    each inner product read off _norm2 by polarization."""
+    each inner product read off Poly._norm2 by polarization."""
     qs = [(lam, q_lambda(lam)) for lam in strict_partitions(8)]
     for lam, f in qs:
         for mu, g in qs:

@@ -87,6 +87,11 @@ def test_mixed_family_rejected():
         p1 + x1
     with pytest.raises(ValueError):
         p1 * x1
+    # Equality does not raise: constants are equal whatever their family.
+    assert p1 != x1
+    assert Poly.one("p") == Poly.one("x")
+    assert Poly.zero("p") == Poly.zero("D")
+    assert Poly.const(Fraction(3, 2), "y") == Poly.const(Fraction(3, 2), "p")
 
 
 def test_ring_axioms_randomized():

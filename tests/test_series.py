@@ -244,6 +244,12 @@ def test_shifted_transition_shapes_and_errors():
     inv = shifted_transition(4, "inv_power_to_shifted", a, cutoff=6)
     assert inv[:4] == [F(0)] * 4
     assert inv[4] == F(1)
+    # 1/u^0 = 1, whatever the parameters, but a_1..a_(cutoff-1) must exist.
+    short = ParamSeq.factorial(2)
+    for cutoff in (0, 1, 3):
+        assert shifted_transition(0, "inv_power_to_shifted", short, cutoff) == [F(1)] + [F(0)] * cutoff
+    with pytest.raises(ValueError, match="a_1..a_3 requested"):
+        shifted_transition(0, "inv_power_to_shifted", short, 4)
     with pytest.raises(ValueError):
         shifted_transition(3, "inv_shifted_to_power", a, cutoff=2)
     with pytest.raises(ValueError):
