@@ -22,8 +22,10 @@ Subcommands:
       P random rational points, 1 <= P <= MAX_POINTS (100).
 
 Tau functions are given as 'q:2,1', 'qa:2,1@0,1,2', 'qa:2,1@factorial',
-or 'json:FILE'.  Parameter sequences are comma-separated rationals (n,
-n/d or decimals) starting with 0, or the families 'zero' and 'factorial'.
+or 'json:FILE'.  Parameter sequences are comma-separated rationals
+starting with 0, or the families 'zero' and 'factorial'.  An integer is
+written -?D+ and a rational -?D+, -?D+/D+ (D+ nonzero) or -?D+.D+, D an
+ASCII digit; spaces around the commas of a list are allowed.
 
 Exit status: 0 success, 1 a verification failed, 2 usage error (including
 an input whose computation would pass the ring's exponent bound), 3
@@ -52,7 +54,7 @@ from .fermion import is_bkp_tau_bilinear, q_lambda
 from .hirota import _equations, bkp_check, equation_listing, p_to_x, x_to_p
 from .multiparam import multiparam_q
 from .oracle import MAX_VARS, eval_powersums, q_sym_at, qa_sym_at
-from .ring import Poly, strict_partitions
+from .ring import Poly, _parse_int, strict_partitions
 from .serialize import poly_from_json_dict, poly_to_json_dict
 from .series import ParamSeq
 
@@ -66,11 +68,8 @@ DEFAULT_MAX_WEIGHT = 64
 
 
 def _parse_vector(text: str, positive: bool = False) -> tuple[int, ...]:
-    parts = [t.strip() for t in text.split(",")]
-    if any(not t for t in parts):
-        raise ValueError(f"malformed index vector {text!r}")
     try:
-        vec = tuple(int(t) for t in parts)
+        vec = tuple(_parse_int(t.strip()) for t in text.split(","))
     except ValueError:
         raise ValueError(f"malformed index vector {text!r}") from None
     if positive and any(v <= 0 for v in vec):
@@ -128,15 +127,13 @@ def _max_weight(w: int) -> int:
 
 
 def _weight_cap(requested: int, default: int = DEFAULT_MAX_WEIGHT, what: str = "weight") -> None:
-    cap = os.environ.get("QLAB_MAX_WEIGHT", str(default))
+    text = os.environ.get("QLAB_MAX_WEIGHT", str(default))
     try:
-        cap_val = int(cap)
+        cap = _parse_int(text)
     except ValueError:
-        raise ValueError(f"invalid QLAB_MAX_WEIGHT value {cap!r}") from None
-    if requested > cap_val:
-        raise ValueError(
-            f"{what} {requested} exceeds the QLAB_MAX_WEIGHT cap {cap_val}"
-        )
+        raise ValueError(f"invalid QLAB_MAX_WEIGHT value {text!r}") from None
+    if requested > cap:
+        raise ValueError(f"{what} {requested} exceeds the QLAB_MAX_WEIGHT cap {cap}")
 
 
 def _emit_poly(poly: Poly, args) -> int:
@@ -252,6 +249,14 @@ def _cmd_oracle_compare(args) -> int:
     return 0
 
 
+def _integer(text: str) -> int:
+    """An integer option's value, read by ring._parse_int."""
+    try:
+        return _parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(exc) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qlab",
@@ -278,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_qa.set_defaults(func=_cmd_qa)
 
     p_h = sub.add_parser("hierarchy", help="list generated bilinear equations")
-    p_h.add_argument("--max-weight", type=int, required=True)
+    p_h.add_argument("--max-weight", type=_integer, required=True)
     p_h.add_argument("--format", choices=("text", "json"), default="text")
     p_h.set_defaults(func=_cmd_hierarchy)
 
@@ -292,16 +297,16 @@ def build_parser() -> argparse.ArgumentParser:
                           help="verify the generated hierarchy equations")
     p_ck.add_argument("--tau", required=True,
                       help="tau spec: q:2,1 | qa:2,1@0,1,2 | json:FILE")
-    p_ck.add_argument("--max-weight", type=int, default=10)
+    p_ck.add_argument("--max-weight", type=_integer, default=10)
     p_ck.set_defaults(func=_cmd_check_bkp)
 
     p_oc = sub.add_parser("oracle-compare",
                           help="compare against the brute-force oracle")
-    p_oc.add_argument("--max-sum", type=int, default=5)
-    p_oc.add_argument("--nvars", type=int, default=4)
-    p_oc.add_argument("--points", type=int, default=2,
+    p_oc.add_argument("--max-sum", type=_integer, default=5)
+    p_oc.add_argument("--nvars", type=_integer, default=4)
+    p_oc.add_argument("--points", type=_integer, default=2,
                       help=f"number of random points, at most {MAX_POINTS}")
-    p_oc.add_argument("--seed", type=int, default=20260818)
+    p_oc.add_argument("--seed", type=_integer, default=20260818)
     p_oc.add_argument("--params", default=None)
     p_oc.set_defaults(func=_cmd_oracle_compare)
 
@@ -309,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # An index vector whose first entry is negative, such as -3,2.
-_NEGATIVE_VECTOR = re.compile(r"-\d+(\s*,\s*-?\d+)*")
+_NEGATIVE_VECTOR = re.compile(r"-[0-9]+(\s*,\s*-?[0-9]+)*")
 
 
 def _vectors_last(argv: list[str]) -> list[str]:

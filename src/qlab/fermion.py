@@ -75,9 +75,7 @@ def exp_derivation_coeffs(f: Poly, sign: int = -1) -> list[Poly]:
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if f.family != "p":
-        raise ValueError("fermion operators act on power-sum polynomials")
-    out = [f]
+    out = [f._check_family("p")]
     for k in range(1, f.weight() + 1):
         out.append(Poly._lincomb(
             ((out[k - n].diff(n), sign * n) for n in range(1, k + 1, 2)), "p", k
@@ -93,8 +91,9 @@ def _phi_from(m: int, gs: Sequence[Poly]) -> Poly:
     )
 
 
-# The bound trades memory for time on deep Q-functions: building
-# q(17,11,7,5,3,1) forms 1,646 distinct images (ROADMAP item 1).
+# The bound trades time for memory on deep Q-functions: building
+# q(17,11,7,5,3,1) forms 1,646 distinct images and evicts, but stays
+# under 128 MB, where a bound of 2048 held 168 MB.
 @_bounded_cache(512)
 def _phi_mono(m: int, key: int) -> Poly:
     """phi_m on the monomial with the packed key, by the commutation rule
@@ -114,9 +113,7 @@ def _phi_mono(m: int, key: int) -> Poly:
 
 def apply_phi(m: int, f: Poly) -> Poly:
     """The operator phi_m applied to a power-sum polynomial."""
-    if f.family != "p":
-        raise ValueError("fermion operators act on power-sum polynomials")
-    return f._linear_image(lambda key: _phi_mono(m, key), "p")
+    return f._check_family("p")._linear_image(lambda key: _phi_mono(m, key), "p")
 
 
 def q_lambda(index: tuple[int, ...]) -> Poly:

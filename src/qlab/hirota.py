@@ -66,16 +66,12 @@ from .series import schur_q_row
 def p_to_x(f: Poly) -> Poly:
     """Rewrite a power-sum polynomial in the rescaled times x_n = 2 p_n / n,
     substituting p_n = n x_n / 2."""
-    if f.family != "p":
-        raise ValueError("expected a power-sum polynomial")
-    return f._rescaled(lambda n: Fraction(n, 2), "x")
+    return f._check_family("p")._rescaled(lambda n: Fraction(n, 2), "x")
 
 
 def x_to_p(f: Poly) -> Poly:
     """Inverse of p_to_x: substitute x_n = 2 p_n / n."""
-    if f.family != "x":
-        raise ValueError("expected a rescaled-time polynomial")
-    return f._rescaled(lambda n: Fraction(2, n), "p")
+    return f._check_family("x")._rescaled(lambda n: Fraction(2, n), "p")
 
 
 def _derivative(derivatives: LazyMap, alpha: int) -> Poly:
@@ -125,10 +121,7 @@ def _hirota_values(f: Poly, g: Poly) -> LazyMap:
 
 def hirota_apply(p: Poly, f: Poly, g: Poly) -> Poly:
     """Evaluate P(D) f.g by the signed binomial derivative expansion."""
-    if p.family != "D":
-        raise ValueError("expected a Hirota symbol polynomial")
-    if f.family != "x" or g.family != "x":
-        raise ValueError("expected rescaled-time polynomials")
+    p._check_family("D"), f._check_family("x"), g._check_family("x")
     return p._linear_image(_hirota_values(f, g).__getitem__, "x")
 
 
@@ -163,10 +156,7 @@ def hirota_apply_taylor(p: Poly, f: Poly, g: Poly) -> Poly:
     of the doubled alphabet, so an input that uses the largest index,
     MAX_INDEX = 4095, raises ValueError; hirota_apply takes every index.
     """
-    if p.family != "D":
-        raise ValueError("expected a Hirota symbol polynomial")
-    if f.family != "x" or g.family != "x":
-        raise ValueError("expected rescaled-time polynomials")
+    p._check_family("D"), f._check_family("x"), g._check_family("x")
     if MAX_INDEX in p.support_indices() | f.support_indices() | g.support_indices():
         raise ValueError(f"the Taylor evaluator takes indices below MAX_INDEX = {MAX_INDEX}")
     top = p.degree()

@@ -274,8 +274,7 @@ def genq_expand(l: int, cutoff: int) -> dict[tuple[int, ...], Poly]:
 
 def eval_powersums(f: Poly, xs: list[Scalar]) -> Fraction:
     """Evaluate a power-sum polynomial at the point p_n = sum_i xs[i]^n."""
-    if f.family != "p":
-        raise ValueError("expected a power-sum polynomial")
+    f._check_family("p")
     vals = list(map(_fr, xs))
     d = math.lcm(*(x.denominator for x in vals))
     scaled = _times(d, vals)
@@ -286,8 +285,7 @@ def eval_powersums(f: Poly, xs: list[Scalar]) -> Fraction:
 def powersum_image(f: Poly, n_vars: int) -> Poly:
     """Substitute p_n = x_1^n + ... + x_N^n symbolically, producing the
     image of f in the finite variable alphabet (family "v")."""
-    if f.family != "p":
-        raise ValueError("expected a power-sum polynomial")
+    f._check_family("p")
     _check_nvars(n_vars)
     psum = {
         n: Poly({((s, n),): 1 for s in range(1, n_vars + 1)}, family="v")

@@ -52,17 +52,20 @@ variables (_key_vars); none of them builds a tuple monomial.
 Every value is immutable after construction and every operation is a
 pure function, so values can be shared freely between threads or cached
 without copying.  Every sum of terms is formed by accumulate, the
-package's one sparse-accumulation kernel.  check_mono is the one test of
-what a monomial is, check_family the one test of what a variable family
-is, and LazyMap the package's one map filled on lookup.  Every
-process-wide cache is a bounded functools.lru_cache declared with
-_bounded_cache, which lists it in _CACHES, the package's one list of
-caches; clear_caches empties each cache on it.
+package's one sparse-accumulation kernel, and LazyMap is the package's
+one map filled on lookup.  Every process-wide cache is a bounded
+functools.lru_cache declared with _bounded_cache, which lists it in
+_CACHES, the package's one list of caches; clear_caches empties each
+cache on it.  Each kind of input has one gate: _fr a number from Python,
+_parse_int and _parse_rational a number written as text (-?D+, -?D+/D+
+or -?D+.D+, D an ASCII digit), check_mono a monomial, check_family a
+variable family, and Poly._check_family the family of a polynomial.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Callable, Hashable, ItemsView, Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -99,10 +102,18 @@ def _fr(value: Scalar) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
+def _parse_int(text: str) -> int:
+    """The one reader of an integer written as text: -?D+, else ValueError."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"malformed integer {text!r}")
+    return int(text)
+
+
 def _parse_rational(text: str) -> Fraction:
-    """n, n/d or a decimal; Fraction would write out 1e999999999 in full."""
-    if "e" in text or "E" in text:
-        raise ValueError(f"exponent notation in {text!r}")
+    """The one reader of a rational written as text: -?D+, -?D+/D+ with a
+    nonzero denominator, or -?D+.D+, else ValueError."""
+    if not re.fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*|\.[0-9]+)?", text):
+        raise ValueError(f"malformed rational {text!r}")
     return Fraction(text)
 
 
@@ -396,8 +407,9 @@ class Poly(_IntegerForm):
 
         def parts():
             for f, c in pairs:
+                # _check_family inline: this runs once per part of every sum.
                 if f.family != family:
-                    raise ValueError(f"mixed variable families {family!r} and {f.family!r}")
+                    raise ValueError(f"expected a {family!r} polynomial, got {f.family!r}")
                 yield f, c
 
         nums, d = _combine(parts())
@@ -551,11 +563,11 @@ class Poly(_IntegerForm):
             return equal
         return self.family == other.family or self._is_const()
 
-    def _check_family(self, other: "Poly") -> None:
-        if self.family != other.family:
-            raise ValueError(
-                f"mixed variable families {self.family!r} and {other.family!r}"
-            )
+    def _check_family(self, family: str) -> "Poly":
+        """self if it is a polynomial of the family, else ValueError."""
+        if self.family != family:
+            raise ValueError(f"expected a {family!r} polynomial, got {self.family!r}")
+        return self
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -581,7 +593,7 @@ class Poly(_IntegerForm):
             return Poly._lincomb(((self, other),), self.family)
         if not isinstance(other, Poly):
             return NotImplemented
-        self._check_family(other)
+        other._check_family(self.family)
         left, right = self._nums, other._nums
         _check_product(left, right, _STEP[self.family])
         right = right.items()
@@ -759,10 +771,7 @@ class Tensor(_IntegerForm):
 
         def parts():
             for f, g, c in triples:
-                for leg in (f, g):
-                    if leg.family != "p":
-                        raise ValueError(f"tensor legs must be p-polynomials, got {leg.family!r}")
-                yield _Outer(f, g), c
+                yield _Outer(f._check_family("p"), g._check_family("p")), c
 
         return cls._make(*_combine(parts()))
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .monomial import Mono, check_mono
-from .ring import Poly, _parse_rational, accumulate
+from .ring import Poly, _parse_int, _parse_rational, accumulate
 
 ALLOWED_FAMILIES = ("p", "x", "y", "D")
 
@@ -38,11 +38,11 @@ def _parse_mono(data: dict, family: str) -> Mono:
     if not isinstance(data, dict):
         raise ValueError("mono must be an object mapping index to exponent")
     pairs = []
-    for key, e in data.items():
+    for index, e in data.items():
         try:
-            n = int(key)
+            n = _parse_int(index)
         except (TypeError, ValueError):
-            raise ValueError(f"bad variable index {key!r}") from None
+            raise ValueError(f"bad variable index {index!r}") from None
         if not isinstance(e, int) or isinstance(e, bool):
             raise ValueError(f"exponent for index {n} must be a positive integer")
         pairs.append((n, e))
@@ -68,7 +68,7 @@ def poly_from_json_dict(data: dict) -> Poly:
             raise ValueError("coef must be a rational string")
         try:
             coef = _parse_rational(coef_text)
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             raise ValueError(f"bad rational {coef_text!r}") from None
         pairs.append((mono, coef))
     return Poly(accumulate({}, pairs), family)

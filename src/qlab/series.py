@@ -236,14 +236,6 @@ def complete_sym(k: int, vals: Iterable[Scalar]) -> Fraction:
     return _complete_syms(vals, k)[k] if k >= 0 else _ZERO
 
 
-def _parse_values(text: str) -> list[Fraction]:
-    """The rationals of a comma-separated list, each n, n/d or a decimal."""
-    try:
-        return [_parse_rational(t.strip()) for t in text.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed parameter sequence: {text!r}") from exc
-
-
 class ParamSeq:
     """A finite parameter sequence a_0, a_1, ..., a_M with a_0 = 0.
 
@@ -322,7 +314,13 @@ class ParamSeq:
 
     @classmethod
     def parse(cls, text: str) -> "ParamSeq":
-        return cls(_parse_values(text))
+        """The sequence of a comma-separated list of rationals, each read
+        by ring._parse_rational; spaces around a comma are allowed."""
+        try:
+            values = [_parse_rational(t.strip()) for t in text.split(",")]
+        except ValueError as exc:
+            raise ValueError(f"malformed parameter sequence: {text!r}") from exc
+        return cls(values)
 
     def __eq__(self, other):
         if not isinstance(other, ParamSeq):

@@ -224,7 +224,7 @@ def test_oracle_compare_short_params_rejected_first(capsys):
     assert "too short" in err
 
 
-def test_malformed_inputs_exit_2(capsys):
+def test_malformed_inputs_exit_2(monkeypatch, capsys):
     assert run_cli(capsys, "q", "2,,1")[0] == 2
     assert run_cli(capsys, "qa", "4", "--params", "0,1/2")[0] == 2
     assert run_cli(capsys, "qa", "2", "--params", "1,2")[0] == 2
@@ -233,6 +233,15 @@ def test_malformed_inputs_exit_2(capsys):
     assert run_cli(capsys, "check-bkp", "--tau", "q:2,1", "--max-weight", "1")[0] == 2
     assert run_cli(capsys, "nosuch")[0] == 2
     assert run_cli(capsys)[0] == 2
+    # Numbers written as text follow one grammar, -?D+ with D an ASCII
+    # digit for an integer; spaces around the commas of a list are list syntax.
+    for argv in (["q", "1_1"], ["q", "\u0663,1"], ["qa", "2", "--params", "0,1_0"],
+                 ["check-bkp", "--tau", "q:2,1", "--max-weight", "1_0"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and "error:" in err and "Traceback" not in err
+    assert run_cli(capsys, "q", " 3 , 1") == run_cli(capsys, "q", "3,1")
+    monkeypatch.setenv("QLAB_MAX_WEIGHT", "6_4")
+    assert run_cli(capsys, "q", "3") == (2, "", "error: invalid QLAB_MAX_WEIGHT value '6_4'\n")
 
 
 def test_params_without_a0_report_the_rule(capsys):
@@ -352,22 +361,30 @@ def test_serialize_rejections():
         poly_from_json_dict({"vars": "p", "terms": [{"mono": {"1": 1}, "coef": "x"}]})
     with pytest.raises(ValueError):
         poly_from_json_dict({"vars": "p", "terms": [{"mono": {"1": True}, "coef": "2"}]})
+    # An index key is read by the integer grammar -?D+, D an ASCII digit.
+    for key in ("1_1", "+1", " 3", "\u0663"):
+        with pytest.raises(ValueError, match="bad variable index"):
+            poly_from_json_dict({"vars": "p", "terms": [{"mono": {key: 1}, "coef": "1"}]})
     with pytest.raises(ValueError):
         poly_to_json_dict(Poly.one("v"))
 
 
 def test_rational_texts():
-    """JSON coefficients and parameter sequences read n, n/d and decimals,
-    and refuse exponent notation."""
+    """JSON coefficients and parameter sequences read exactly -?D+, -?D+/D+
+    and -?D+.D+, D an ASCII digit: no exponent notation, digit separator,
+    plus sign, surrounding space, non-ASCII digit, bare point or zero
+    denominator.  Spaces around the commas of a list are list syntax."""
     for text, value in (("3", 3), ("-3/4", F(-3, 4)), ("1.25", F(5, 4))):
         term = {"mono": {}, "coef": text}
         assert poly_from_json_dict({"vars": "p", "terms": [term]}) == Poly.one("p") * value
         assert ParamSeq.parse(f"0,{text}").values[1] == value
-    for text in ("1e3", "2E-1", "1.5e2"):
-        with pytest.raises(ValueError):
+    for text in ("1e3", "2E-1", "1.5e2", "1_000", "+1", " 1", "\u0661", ".5", "1.", "1/0"):
+        with pytest.raises(ValueError, match="bad rational"):
             poly_from_json_dict({"vars": "p", "terms": [{"mono": {}, "coef": text}]})
-        with pytest.raises(ValueError):
-            ParamSeq.parse(f"0,{text}")
+        if text.strip() == text:  # a space beside a comma is list syntax
+            with pytest.raises(ValueError, match="malformed parameter sequence"):
+                ParamSeq.parse(f"0,{text}")
+    assert ParamSeq.parse("0 , 1,2 ") == ParamSeq.parse("0,1,2")
 
 
 def test_internal_error_exit_3(monkeypatch, capsys):

@@ -424,6 +424,16 @@ def test_param_seq_carries_its_shifted_basis(a):
 
 
 @deterministic
+@given(param_seqs, st.integers(), st.fractions())
+def test_text_grammar_reads_what_the_package_writes(a, n, q):
+    """The one grammar for numbers written as text reads back what str
+    writes: an int, a Fraction and a parameter list joined by commas."""
+    assert ParamSeq.parse(",".join(map(str, a.values))) == a
+    assert ring._parse_int(str(n)) == n
+    assert ring._parse_rational(str(q)) == q
+
+
+@deterministic
 @given(st.lists(st.integers(1, 4), min_size=2, max_size=3),
        st.lists(coefs, min_size=3, max_size=3), st.data())
 def test_multiparam_antisymmetry(alpha, params, data):

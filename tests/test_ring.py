@@ -12,15 +12,21 @@ from qlab import (
     ParamSeq,
     Poly,
     Tensor,
+    apply_phi,
+    bkp_check,
     bkp_generate,
     complete_sym,
     elem_sym,
     eval_powersums,
+    exp_derivation_coeffs,
     exp_series,
     exp_series_det,
     log_series,
     log_series_by_inversion,
     graded_monomials,
+    hirota_apply,
+    hirota_apply_taylor,
+    is_bkp_tau_bilinear,
     mono_degree,
     mono_mul,
     mono_text,
@@ -28,12 +34,14 @@ from qlab import (
     multiparam_q,
     p_to_x,
     poly_from_json_dict,
+    powersum_image,
     q_lambda,
     q_sym_at,
     qa_sym_at,
     strict_partitions,
     tensor_map,
     tensor_of,
+    x_to_p,
 )
 
 from qlab.monomial import MAX_EXPONENT, MAX_INDEX, check_mono
@@ -83,10 +91,28 @@ def test_basic_arithmetic_examples():
 def test_mixed_family_rejected():
     p1 = Poly.variable(1, "p")
     x1 = Poly.variable(1, "x")
-    with pytest.raises(ValueError):
-        p1 + x1
-    with pytest.raises(ValueError):
-        p1 * x1
+    d1 = Poly.variable(1, "D")
+    # Every operation that takes one family names the family it expected
+    # and the one it got, in one message.
+    for call, expected, got in (
+        (lambda: p1 + x1, "p", "x"),
+        (lambda: p1 * x1, "p", "x"),
+        (lambda: apply_phi(1, x1), "p", "x"),
+        (lambda: exp_derivation_coeffs(x1), "p", "x"),
+        (lambda: is_bkp_tau_bilinear(x1), "p", "x"),
+        (lambda: bkp_check(x1, 4), "p", "x"),
+        (lambda: p_to_x(x1), "p", "x"),
+        (lambda: x_to_p(p1), "x", "p"),
+        (lambda: hirota_apply(x1, x1, x1), "D", "x"),
+        (lambda: hirota_apply(d1, p1, x1), "x", "p"),
+        (lambda: hirota_apply(d1, x1, p1), "x", "p"),
+        (lambda: hirota_apply_taylor(d1, x1, d1), "x", "D"),
+        (lambda: eval_powersums(x1, [1]), "p", "x"),
+        (lambda: powersum_image(x1, 2), "p", "x"),
+        (lambda: Tensor.lincomb([(p1, x1, 1)]), "p", "x"),
+    ):
+        with pytest.raises(ValueError, match=f"^expected a '{expected}' polynomial, got '{got}'$"):
+            call()
     # Equality does not raise: constants are equal whatever their family.
     assert p1 != x1
     assert Poly.one("p") == Poly.one("x")
